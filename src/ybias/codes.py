@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import BitMatrix, Gf2Solver, rank
+from .gf2 import BitMatrix, Gf2Solver, matmul_mod2
 from .pauli import PauliOperator
 
 __all__ = [
@@ -107,6 +107,18 @@ class StabilizerCode:
         return self.x_checks.stack(self.z_checks)
 
     @cached_property
+    def y_dense(self) -> np.ndarray:
+        return self.y_check_matrix.to_dense()
+
+    @cached_property
+    def x_solver(self) -> Gf2Solver:
+        return Gf2Solver(self.x_checks)
+
+    @cached_property
+    def z_solver(self) -> Gf2Solver:
+        return Gf2Solver(self.z_checks)
+
+    @cached_property
     def y_solver(self) -> Gf2Solver:
         return Gf2Solver(self.y_check_matrix)
 
@@ -149,12 +161,11 @@ class StabilizerCode:
         if self.num_checks != self.n - 1:
             raise AssertionError(f"{self.id}: {self.num_checks} checks != n-1 = {self.n - 1}")
         # CSS commutation: every X-check support must overlap every Z-check evenly.
-        overlap = (self.x_dense.astype(np.uint64) @ self.z_dense.T.astype(np.uint64)) & 1
-        if overlap.any():
+        if matmul_mod2(self.x_dense, self.z_dense.T).any():
             raise AssertionError(f"{self.id}: non-commuting check pair")
-        if ((self.z_dense @ self.logical_x.x_bits.astype(np.uint64)) & 1).any():
+        if matmul_mod2(self.z_dense, self.logical_x.x_bits).any():
             raise AssertionError(f"{self.id}: logical X anticommutes with a Z check")
-        if ((self.x_dense @ self.logical_z.z_bits.astype(np.uint64)) & 1).any():
+        if matmul_mod2(self.x_dense, self.logical_z.z_bits).any():
             raise AssertionError(f"{self.id}: logical Z anticommutes with an X check")
         if self.logical_x.commutes_with(self.logical_z):
             raise AssertionError(f"{self.id}: logical X and Z must anticommute")
@@ -342,15 +353,9 @@ def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:
     """Anticommutation bit per generator: X-check bits first, then Z-check bits."""
     if e.n != code.n:
         raise ValueError(f"operator has {e.n} qubits, code has {code.n}")
-    sx = (code.x_dense.astype(np.uint64) @ e.z_bits.astype(np.uint64)) & 1
-    sz = (code.z_dense.astype(np.uint64) @ e.x_bits.astype(np.uint64)) & 1
-    return np.concatenate([sx, sz]).astype(np.uint8)
-
-
-def y_syndrome_batch(code: StabilizerCode, y_configs: np.ndarray) -> np.ndarray:
-    """Syndromes of many Y-type errors given as rows of qubit bits."""
-    h = code.y_check_matrix.to_dense().astype(np.uint64)
-    return ((y_configs.astype(np.uint64) @ h.T) & 1).astype(np.uint8)
+    sx = matmul_mod2(code.x_dense, e.z_bits)
+    sz = matmul_mod2(code.z_dense, e.x_bits)
+    return np.concatenate([sx, sz])
 
 
 def y_distance(j: int, k: int, layout: str) -> int:

@@ -27,12 +27,11 @@ from .codes import (
     boundary_destabilizer_support,
     construct_y_stabilizer_group,
     propagate_y_from_top,
-    syndrome,
 )
-from .gf2 import BitMatrix, Gf2Solver, solve
+from .gf2 import BitMatrix, Gf2Solver, matmul_mod2, solve
 from .noise import BiasedNoiseModel
 from .pauli import PauliOperator
-from .ycode import CycleCode, YCodeStructure, cycle_code, y_code_structure
+from .ycode import YCodeStructure, cycle_code, y_code_structure
 
 __all__ = [
     "DecodeOutcome",
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 _CLASS_ORDER = ("I", "X", "Y", "Z")
-_PURE_Y_ORDER = ("I", "L")
 
 
 class UnattainableSyndromeError(ValueError):
@@ -160,14 +158,26 @@ def cycle_failure_bound(m: int, p: float) -> float:
 # -- shared Y-decoding machinery ------------------------------------------
 
 
-def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> float:
-    """log sum of p^w (1-p)^(n-w) over the given coset weights."""
-    weights = np.atleast_1d(weights).astype(np.float64)
+def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log sum of p^w (1-p)^(n-w) over the last axis of the coset weights."""
+    weights = np.asarray(weights, dtype=np.float64)
     if p <= 0.0:
-        return 0.0 if (weights == 0).any() else -np.inf
+        return np.where((weights == 0).any(axis=-1), 0.0, -np.inf)
     if p >= 1.0:
-        return 0.0 if (weights == n).any() else -np.inf
-    return float(logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p)))
+        return np.where((weights == n).any(axis=-1), 0.0, -np.inf)
+    return logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p), axis=-1)
+
+
+def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p: float):
+    """Scores of the I and L cosets of each candidate, and whether L strictly wins.
+
+    ``cands`` is one Y-configuration or a (trials, n) block; each coset is
+    summed over the rows of ``group``, every Y-type stabilizer.  Ties go to I.
+    """
+    n = group.shape[1]
+    score_i = _pure_y_log_score((cands[..., None, :] ^ group).sum(axis=-1), n, p)
+    score_l = _pure_y_log_score(((cands ^ logical)[..., None, :] ^ group).sum(axis=-1), n, p)
+    return score_i, score_l, score_l > score_i
 
 
 class _StandardYTools:
@@ -176,16 +186,14 @@ class _StandardYTools:
     def __init__(self, code: StabilizerCode):
         self.code = code
         self.solver = code.y_solver
-        self.logical_bits = code.logical_y.x_bits
         gens = construct_y_stabilizer_group(code)
-        g = code.family.g
         if gens:
             gen_matrix = np.stack([op.x_bits for op in gens])
             subset_bits = (
                 (np.arange(2 ** len(gens), dtype=np.uint32)[:, None] >> np.arange(len(gens)))
                 & 1
             ).astype(np.uint8)
-            self.group = (subset_bits @ gen_matrix) & 1
+            self.group = matmul_mod2(subset_bits, gen_matrix)
             self.stab_reducer = Gf2Solver(BitMatrix.from_dense(gen_matrix))
         else:
             self.group = np.zeros((1, code.n), dtype=np.uint8)
@@ -199,22 +207,13 @@ class _StandardYTools:
             self.destabilizers = {
                 c: boundary_destabilizer_support(code, c) for c in range(1, k)
             }
-            h = code.y_check_matrix.to_dense()
             for c, supp in self.destabilizers.items():
                 expected = np.zeros(code.num_checks, dtype=np.uint8)
                 expected[(j - 1) * (k - 1) + (c - 1)] = 1
-                if not np.array_equal((h @ supp.astype(np.uint64)) & 1, expected):
+                if not np.array_equal(matmul_mod2(code.y_dense, supp), expected):
                     raise AssertionError(
                         f"{code.id}: destabilizer for bottom vertex {c} flips extra checks"
                     )
-
-    def is_stabilizer_config(self, y_bits: np.ndarray) -> bool:
-        """Membership of a Y-configuration (already syndrome-free) in the stabilizer group."""
-        if not y_bits.any():
-            return True
-        if self.stab_reducer is None:
-            return False
-        return not self.stab_reducer.reduce_rowspace_batch(y_bits.reshape(1, -1)).any()
 
     def candidate(self, s: np.ndarray) -> np.ndarray:
         """Y-configuration with syndrome s, built by top-row-zero propagation.
@@ -243,8 +242,7 @@ class _StandardYTools:
         yH, yV = propagate_y_from_top(j, k, np.zeros(k, dtype=np.uint8), sv, sp)
         y = assemble_y_config(code, yH, yV)
 
-        h = code.y_check_matrix.to_dense()
-        residual = ((h @ y.astype(np.uint64)) & 1).astype(np.uint8) ^ s
+        residual = matmul_mod2(code.y_dense, y) ^ s
         off_bottom = residual.copy()
         off_bottom[self.bottom_vertex_indices] = 0
         if off_bottom.any():
@@ -261,7 +259,7 @@ class _StandardYTools:
             if fix is None:
                 raise AssertionError(f"{code.id}: residual syndrome unexpectedly inconsistent")
             y ^= fix
-        if not np.array_equal(((h @ y.astype(np.uint64)) & 1).astype(np.uint8), s):
+        if not np.array_equal(matmul_mod2(code.y_dense, y), s):
             raise AssertionError(f"{code.id}: candidate recovery syndrome mismatch")
         return y
 
@@ -275,16 +273,8 @@ class _StandardYTools:
         batch decoding reuse the exact same candidate (and hence the same
         class labels) as the one-shot path.
         """
-        code = self.code
-        h = code.y_check_matrix.to_dense()
-        rows = np.empty((code.n, code.n), dtype=np.uint8)
-        unit = np.zeros(code.n, dtype=np.uint64)
-        for q in range(code.n):
-            unit[q] = 1
-            s = ((h @ unit) & 1).astype(np.uint8)
-            rows[q] = self.candidate(s)
-            unit[q] = 0
-        return rows
+        # Column q of the check matrix is the syndrome of a Y error at qubit q.
+        return np.stack([self.candidate(s) for s in self.code.y_dense.T])
 
 
 @lru_cache(maxsize=32)
@@ -297,37 +287,28 @@ def exact_ml_y_decode(code: StabilizerCode, model: BiasedNoiseModel, s: np.ndarr
 
     Compares the identity coset against the logical coset, each summed over
     all Y-type stabilizers in log domain; ties resolve to the identity
-    class.
+    class.  On the rotated layout the only Y-type stabilizer is the
+    identity.
     """
     if not math.isinf(model.eta):
         raise ValueError("exact_ml_y_decode requires a pure-Y model (eta = inf)")
     s = np.asarray(s, dtype=np.uint8)
     if s.size != code.num_checks:
         raise ValueError(f"syndrome length {s.size} != {code.num_checks}")
-    p = model.p
     if code.layout == "rotated":
-        if not code.y_solver.is_consistent(s):
-            raise UnattainableSyndromeError(f"{code.id}: unattainable pure-Y syndrome")
         y = code.y_solver.solve(s)
-        scores = {
-            "I": _pure_y_log_score(np.array([y.sum()]), code.n, p),
-            "L": _pure_y_log_score(np.array([code.n - y.sum()]), code.n, p),
-        }
-        verdict = _argmax_class(scores, _PURE_Y_ORDER)
-        recovery = y if verdict == "I" else (1 - y).astype(np.uint8)
-        return DecodeOutcome(PauliOperator.y_type(recovery), verdict, scores)
-
-    tools = _standard_y_tools(code)
-    y = tools.candidate(s)
-    weights_i = (tools.group ^ y).sum(axis=1)
-    weights_l = (tools.group ^ (y ^ tools.logical_bits)).sum(axis=1)
-    scores = {
-        "I": _pure_y_log_score(weights_i, code.n, p),
-        "L": _pure_y_log_score(weights_l, code.n, p),
-    }
-    verdict = _argmax_class(scores, _PURE_Y_ORDER)
-    recovery = y if verdict == "I" else y ^ tools.logical_bits
-    return DecodeOutcome(PauliOperator.y_type(recovery), verdict, scores)
+        if y is None:
+            raise UnattainableSyndromeError(f"{code.id}: unattainable pure-Y syndrome")
+        group = np.zeros((1, code.n), dtype=np.uint8)
+    else:
+        tools = _standard_y_tools(code)
+        y = tools.candidate(s)
+        group = tools.group
+    logical = code.logical_y.x_bits
+    score_i, score_l, take_l = _pure_y_scores(y, group, logical, model.p)
+    recovery = y ^ logical if take_l else y
+    scores = {"I": float(score_i), "L": float(score_l)}
+    return DecodeOutcome(PauliOperator.y_type(recovery), "L" if take_l else "I", scores)
 
 
 class ExactYDecoder:
@@ -346,64 +327,34 @@ class ExactYDecoder:
         return exact_ml_y_decode(self.code, self.model, s)
 
     def decode_batch(self, x_bits: np.ndarray, z_bits: np.ndarray):
-        """Decode errors given as (trials, n) bit blocks; returns (success, verdict)."""
+        """Decode errors given as (trials, n) bit blocks; returns (success, verdict).
+
+        Candidates, scores and verdicts equal those of :meth:`decode` row by row.
+        """
         if not np.array_equal(x_bits, z_bits):
             raise ValueError("pure-Y decoder fed a non-Y-type error batch")
-        code, p = self.code, self.model.p
+        code = self.code
         errors = x_bits.astype(np.uint8)
-        trials = errors.shape[0]
-
         if code.layout == "rotated":
-            h = code.y_check_matrix.to_dense().astype(np.uint64)
-            syndromes = ((errors.astype(np.uint64) @ h.T) & 1).astype(np.uint8)
-            cands = code.y_solver.solve_batch(syndromes)
-            w = cands.sum(axis=1).astype(np.int64)
-            n = code.n
-            if p < 0.5:
-                take_complement = 2 * w > n
-            elif p > 0.5:
-                take_complement = 2 * w < n
-            else:
-                take_complement = np.zeros(trials, dtype=bool)
-            diff_weight = (cands ^ errors).sum(axis=1)
-            success = np.where(take_complement, diff_weight == n, diff_weight == 0)
-            verdicts = np.where(take_complement, "L", "I")
-            return success, verdicts
-
-        tools = _standard_y_tools(code)
-        cands = ((errors.astype(np.uint64) @ tools.candidate_rows.astype(np.uint64)) & 1).astype(np.uint8)
-        group = tools.group
-        logical = tools.logical_bits
-        n = code.n
-        success = np.zeros(trials, dtype=bool)
+            cands = code.y_solver.solve_batch(matmul_mod2(errors, code.y_dense.T))
+            group, reducer = np.zeros((1, code.n), dtype=np.uint8), None
+        else:
+            tools = _standard_y_tools(code)
+            cands = matmul_mod2(errors, tools.candidate_rows)
+            group, reducer = tools.group, tools.stab_reducer
+        logical = code.logical_y.x_bits
+        trials = errors.shape[0]
+        success = np.empty(trials, dtype=bool)
         verdicts = np.empty(trials, dtype="<U1")
-        chunk = max(1, 2_000_000 // max(1, group.shape[0] * n))
-        with np.errstate(invalid="ignore"):
-            logp = math.log(p) if 0.0 < p else -np.inf
-            log1mp = math.log1p(-p) if p < 1.0 else -np.inf
+        chunk = max(1, 2_000_000 // (group.shape[0] * code.n))
         for lo in range(0, trials, chunk):
-            hi = min(trials, lo + chunk)
-            cs = cands[lo:hi]
-            w_i = (cs[:, None, :] ^ group[None, :, :]).sum(axis=2).astype(np.float64)
-            w_l = ((cs ^ logical)[:, None, :] ^ group[None, :, :]).sum(axis=2).astype(np.float64)
-            if p <= 0.0:
-                score_i = np.where((w_i == 0).any(axis=1), 0.0, -np.inf)
-                score_l = np.where((w_l == 0).any(axis=1), 0.0, -np.inf)
-            elif p >= 1.0:
-                score_i = np.where((w_i == n).any(axis=1), 0.0, -np.inf)
-                score_l = np.where((w_l == n).any(axis=1), 0.0, -np.inf)
-            else:
-                score_i = logsumexp(w_i * logp + (n - w_i) * log1mp, axis=1)
-                score_l = logsumexp(w_l * logp + (n - w_l) * log1mp, axis=1)
-            take_l = score_l > score_i
-            verdicts[lo:hi] = np.where(take_l, "L", "I")
-            recoveries = np.where(take_l[:, None], cs ^ logical, cs)
-            leftover = recoveries ^ errors[lo:hi]
-            if tools.stab_reducer is None:
-                success[lo:hi] = ~leftover.any(axis=1)
-            else:
-                reduced = tools.stab_reducer.reduce_rowspace_batch(leftover)
-                success[lo:hi] = ~reduced.any(axis=1)
+            cs = cands[lo : lo + chunk]
+            take_l = _pure_y_scores(cs, group, logical, self.model.p)[2]
+            verdicts[lo : lo + chunk] = np.where(take_l, "L", "I")
+            leftover = np.where(take_l[:, None], cs ^ logical, cs) ^ errors[lo : lo + chunk]
+            if reducer is not None:
+                leftover = reducer.reduce_rowspace_batch(leftover)
+            success[lo : lo + chunk] = ~leftover.any(axis=1)
         return success, verdicts
 
 
@@ -509,10 +460,9 @@ def concatenated_y_decode(
     if not tools.solver.is_consistent(s):
         raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
 
-    s64 = s.astype(np.uint64)
-    boundary_bits = ((tools.u_boundary @ s64) & 1).astype(np.uint8)
-    rel_bits = ((tools.u_rel @ s64) & 1).astype(np.uint8)
-    tri_bits = ((tools.u_tri @ s64) & 1).astype(np.uint8)
+    boundary_bits = matmul_mod2(tools.u_boundary, s)
+    rel_bits = matmul_mod2(tools.u_rel, s)
+    tri_bits = matmul_mod2(tools.u_tri, s)
 
     base = solve(tools.cycle.checks, tri_bits)
     if base is None:
@@ -533,8 +483,7 @@ def concatenated_y_decode(
         a, b = tools.rel_slices[block_idx]
         bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]
         y[members] = bits
-    h = code.y_check_matrix.to_dense()
-    if not np.array_equal(((h @ y.astype(np.uint64)) & 1).astype(np.uint8), s):
+    if not np.array_equal(matmul_mod2(code.y_dense, y), s):
         raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
     return DecodeOutcome(PauliOperator.y_type(y), None, None)
 
@@ -569,17 +518,12 @@ class _BruteTools:
         subset_bits = (
             (np.arange(2**count, dtype=np.int64)[:, None] >> np.arange(count)) & 1
         ).astype(np.uint8)
-        self.group = (subset_bits @ gens) & 1
+        self.group = matmul_mod2(subset_bits, gens)
 
 
 @lru_cache(maxsize=8)
 def _brute_tools(code: StabilizerCode) -> _BruteTools:
     return _BruteTools(code)
-
-
-@lru_cache(maxsize=64)
-def _css_solvers(code: StabilizerCode) -> tuple[Gf2Solver, Gf2Solver]:
-    return Gf2Solver(code.x_checks), Gf2Solver(code.z_checks)
 
 
 def candidate_recovery(code: StabilizerCode, s: np.ndarray) -> PauliOperator:
@@ -592,9 +536,8 @@ def candidate_recovery(code: StabilizerCode, s: np.ndarray) -> PauliOperator:
     s = np.asarray(s, dtype=np.uint8)
     if s.size != code.num_checks:
         raise ValueError(f"syndrome length {s.size} != {code.num_checks}")
-    solver_x, solver_z = _css_solvers(code)
-    z_bits = solver_x.solve(s[: code.num_x_checks])
-    x_bits = solver_z.solve(s[code.num_x_checks :])
+    z_bits = code.x_solver.solve(s[: code.num_x_checks])
+    x_bits = code.z_solver.solve(s[code.num_x_checks :])
     if z_bits is None or x_bits is None:
         raise UnattainableSyndromeError(f"{code.id}: syndrome outside the check image")
     return PauliOperator(x_bits, z_bits)
@@ -678,6 +621,8 @@ def decoder_from_name(name: str, code: StabilizerCode, model: BiasedNoiseModel, 
     if name == "exact-y":
         return ExactYDecoder(code, model)
     if name == "concatenated-y":
+        if not math.isinf(model.eta):
+            raise ValueError("concatenated-y requires a pure-Y model (eta = inf)")
         return ConcatenatedYDecoder(code)
     if name == "brute-force":
         return BruteForceDecoder(code, model)

@@ -1,8 +1,10 @@
-"""Bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2): one dense product kernel plus bit-packed RREF.
 
-Rows are packed into 64-bit words, little-endian bit order within each word.
-All public operations are pure: they never mutate their inputs, so matrices
-and the solver helpers built from them are safe to share across threads.
+Every mod-2 product in the package goes through :func:`matmul_mod2`.  Row
+reduction keeps rows packed into 64-bit words, little-endian bit order
+within each word.  All public operations are pure: they never mutate their
+inputs, so matrices and the solver helpers built from them are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "matmul_mod2",
     "BitMatrix",
     "rank",
     "rref",
@@ -23,6 +26,23 @@ __all__ = [
 
 _WORD = 64
 _ONE = np.uint64(1)
+# float32 holds every integer below 2^24 exactly, so a 0/1 product whose
+# inner dimension stays below this bound has exact partial sums.
+_EXACT_INNER = 1 << 24
+
+
+def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product ``a @ b`` over GF(2) of 0/1 arrays, as uint8.
+
+    Runs as one float32 BLAS product, which is exact while the inner
+    dimension is below 2^24; a larger one raises ValueError before any
+    conversion.
+    """
+    inner = np.shape(a)[-1]
+    if inner >= _EXACT_INNER:
+        raise ValueError(f"inner dimension {inner} is not below 2^24; float32 sums would round")
+    product = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return (product.astype(np.int32) & 1).astype(np.uint8)
 
 
 def _as_bit_array(bits: Iterable[int] | np.ndarray, length: int | None = None) -> np.ndarray:
@@ -56,10 +76,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, np.zeros((rows, max(1, -(-cols // _WORD))), dtype=np.uint64))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None) -> "BitMatrix":
@@ -111,8 +127,7 @@ class BitMatrix:
 
     def mul_vector(self, v: Iterable[int] | np.ndarray) -> np.ndarray:
         """Matrix-vector product over GF(2); returns a uint8 array of length rows."""
-        vec = _as_bit_array(v, self.cols)
-        return (self.to_dense() @ vec.astype(np.uint64) & 1).astype(np.uint8)
+        return matmul_mod2(self.to_dense(), _as_bit_array(v, self.cols))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -246,16 +261,13 @@ class Gf2Solver:
         self._reduced_rows = dense[: self.rank, : M.cols]
 
     def is_consistent(self, b: np.ndarray) -> bool:
-        vec = _as_bit_array(b, self.rows)
-        if self.consistency_matrix.size == 0:
-            return True
-        return not ((self.consistency_matrix @ vec.astype(np.uint64)) & 1).any()
+        return not matmul_mod2(self.consistency_matrix, _as_bit_array(b, self.rows)).any()
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         vec = _as_bit_array(b, self.rows)
         if not self.is_consistent(vec):
             return None
-        return ((self.solution_matrix @ vec.astype(np.uint64)) & 1).astype(np.uint8)
+        return matmul_mod2(self.solution_matrix, vec)
 
     def solve_batch(self, B: np.ndarray) -> np.ndarray:
         """Solve for many right-hand sides at once; B has shape (count, rows).
@@ -265,7 +277,7 @@ class Gf2Solver:
         """
         if B.ndim != 2 or B.shape[1] != self.rows:
             raise ValueError(f"expected shape (count, {self.rows}), got {B.shape}")
-        return ((B.astype(np.uint64) @ self.solution_matrix.T) & 1).astype(np.uint8)
+        return matmul_mod2(B, self.solution_matrix.T)
 
     def reduce_rowspace_batch(self, V: np.ndarray) -> np.ndarray:
         """Reduce vectors by the RREF rows; zero rows are exactly the row-space members."""

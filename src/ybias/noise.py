@@ -78,10 +78,6 @@ class BiasedNoiseModel:
         arr.setflags(write=False)
         return arr
 
-    def describe(self) -> str:
-        eta = "inf" if math.isinf(self.eta) else repr(self.eta)
-        return f"p={self.p!r},eta={eta}"
-
 
 def _classes_from_uniforms(model: BiasedNoiseModel, u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0,1) to Pauli classes (x + 2z encoding).

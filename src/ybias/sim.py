@@ -14,7 +14,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ import scipy.optimize
 
 from .codes import StabilizerCode, syndrome
 from .decoders import MpsDecoder, UnattainableSyndromeError
-from .gf2 import Gf2Solver
 from .noise import (
     BiasedNoiseModel,
     batch_uniforms,
@@ -83,28 +81,13 @@ class FailureRateResult:
         return self.trials - self.decoder_errors
 
 
-@lru_cache(maxsize=64)
-def _membership_solvers(code: StabilizerCode) -> tuple[Gf2Solver, Gf2Solver]:
-    return Gf2Solver(code.x_checks), Gf2Solver(code.z_checks)
-
-
 def is_stabilizer(code: StabilizerCode, op: PauliOperator) -> bool:
     """GF(2) membership of op in the stabilizer group (phases ignored)."""
-    sx, sz = _membership_solvers(code)
-    if op.x_bits.any() and sx.reduce_rowspace_batch(op.x_bits.reshape(1, -1)).any():
+    if op.x_bits.any() and code.x_solver.reduce_rowspace_batch(op.x_bits.reshape(1, -1)).any():
         return False
-    if op.z_bits.any() and sz.reduce_rowspace_batch(op.z_bits.reshape(1, -1)).any():
+    if op.z_bits.any() and code.z_solver.reduce_rowspace_batch(op.z_bits.reshape(1, -1)).any():
         return False
     return True
-
-
-def _stabilizer_membership_batch(
-    code: StabilizerCode, x_rows: np.ndarray, z_rows: np.ndarray
-) -> np.ndarray:
-    sx, sz = _membership_solvers(code)
-    ok_x = ~sx.reduce_rowspace_batch(x_rows).any(axis=1)
-    ok_z = ~sz.reduce_rowspace_batch(z_rows).any(axis=1)
-    return ok_x & ok_z
 
 
 def _digest(x_bits: np.ndarray, z_bits: np.ndarray) -> str:
@@ -120,7 +103,11 @@ def _chunk_size(n: int) -> int:
 def _run_range(
     decoder, model: BiasedNoiseModel, seed: int, start: int, count: int, keep_records: bool
 ) -> tuple[int, int, list[TrialRecord]]:
-    """Decode trials [start, start+count); returns (failures, decoder_errors, records)."""
+    """Decode trials [start, start+count); returns (failures, decoder_errors, records).
+
+    Only an UnattainableSyndromeError counts as a decoder error; any other
+    exception (a numerical failure, say) propagates.
+    """
     code = decoder.code
     n = code.n
     key = derive_key(seed)
@@ -160,7 +147,7 @@ def _run_range(
             s = syndrome(code, err)
             try:
                 outcome = decoder.decode(s)
-            except (UnattainableSyndromeError, RuntimeError):
+            except UnattainableSyndromeError:
                 decoder_errors += 1
                 continue
             ok = is_stabilizer(code, outcome.recovery.mul(err))

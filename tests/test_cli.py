@@ -137,10 +137,15 @@ class TestRun:
         )
         assert rc == 1 and "--trials" in err
 
-    def test_pure_y_decoder_rejects_finite_bias(self, capsys):
+    @pytest.mark.parametrize(
+        "layout, j, k, decoder",
+        [("rotated", "3", "3", "exact-y"), ("standard", "3", "4", "concatenated-y")],
+        ids=["exact-y", "concatenated-y"],
+    )
+    def test_pure_y_decoder_rejects_finite_bias(self, capsys, layout, j, k, decoder):
         rc, _, err = run_cli(
-            capsys, "run", "--layout", "rotated", "-j", "3", "-k", "3",
-            "--eta", "10", "--decoder", "exact-y", "--p", "0.2", "--trials", "10",
+            capsys, "run", "--layout", layout, "-j", j, "-k", k,
+            "--eta", "10", "--decoder", decoder, "--p", "0.2", "--trials", "10",
         )
         assert rc == 1 and err.startswith("error:")
 

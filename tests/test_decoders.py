@@ -356,9 +356,12 @@ class TestExactML:
             got = sorted(outcome.coset_scores.values())
             assert got == pytest.approx(sorted([pi_rec, pi_other]), rel=1e-12)
 
-    def test_batch_matches_single_rotated(self):
+    # The model's p varies while errors stay sampled at a fixed rate, so
+    # p = 0 and p = 1 exercise the infinite-score ties of both paths.
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_batch_matches_single_rotated(self, p):
         code = build_rotated_code(5, 5)
-        model = PURE_Y(0.3)
+        model = PURE_Y(p)
         decoder = ExactYDecoder(code, model)
         rng = np.random.default_rng(7)
         errors = (rng.random((200, code.n)) < 0.3).astype(np.uint8)
@@ -372,9 +375,10 @@ class TestExactML:
             )
             assert ok == expected_ok
 
-    def test_batch_matches_single_standard(self):
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_batch_matches_single_standard(self, p):
         code = build_standard_code(4, 4)
-        model = PURE_Y(0.35)
+        model = PURE_Y(p)
         decoder = ExactYDecoder(code, model)
         rng = np.random.default_rng(8)
         errors = (rng.random((150, code.n)) < 0.35).astype(np.uint8)

@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ybias.gf2 import BitMatrix, Gf2Solver, in_rowspace, nullspace_basis, rank, rref, solve
+from ybias.gf2 import (
+    BitMatrix,
+    Gf2Solver,
+    in_rowspace,
+    matmul_mod2,
+    nullspace_basis,
+    rank,
+    rref,
+    solve,
+)
 
 
 def random_matrix(draw):
@@ -147,3 +157,32 @@ def test_rowspace_reduction_flags_members(m, data):
     v = data.draw(st.lists(st.integers(0, 1), min_size=m.cols, max_size=m.cols))
     reduced = solver.reduce_rowspace_batch(np.asarray([v], dtype=np.uint8))
     assert (not reduced.any()) == in_rowspace(m, v)
+
+
+@st.composite
+def product_operands(draw):
+    rows = draw(st.integers(0, 9))
+    inner = draw(st.integers(0, 70))
+    cols = draw(st.one_of(st.none(), st.integers(0, 9)))  # None: matrix x vector
+    bits = st.integers(0, 1)
+    a = draw(arrays(np.uint8, (rows, inner), elements=bits))
+    b = draw(arrays(np.uint8, (inner,) if cols is None else (inner, cols), elements=bits))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_operands())
+def test_matmul_mod2_matches_integer_reference(operands):
+    a, b = operands
+    got = matmul_mod2(a, b)
+    want = (a.astype(np.uint64) @ b.astype(np.uint64)) & 1
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+def test_matmul_mod2_rejects_inexact_inner_dimension():
+    # Zero-stride views: nothing of length 2^24 is allocated.
+    a = np.broadcast_to(np.uint8(1), (1, 1 << 24))
+    b = np.broadcast_to(np.uint8(1), (1 << 24,))
+    with pytest.raises(ValueError):
+        matmul_mod2(a, b)

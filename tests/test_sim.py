@@ -76,6 +76,13 @@ class _RejectingDecoder:
         raise UnattainableSyndromeError("nothing is attainable")
 
 
+class _FailingDecoder(_RejectingDecoder):
+    name = "numerical-failure"
+
+    def decode(self, s):
+        raise RuntimeError("SVD did not converge")
+
+
 class TestEstimateFailureRate:
     def test_noiseless_runs_never_fail(self):
         code = build_rotated_code(3, 3)
@@ -144,6 +151,13 @@ class TestEstimateFailureRate:
         code = build_rotated_code(3, 3)
         with pytest.raises(RuntimeError):
             estimate_failure_rate(code, _RejectingDecoder(code), PURE_Y, 8, seed=0)
+
+    def test_numerical_failure_propagates(self):
+        # Only unattainable syndromes are decoder errors; anything else must
+        # surface instead of shrinking the rate's denominator.
+        code = build_standard_code(3, 3)
+        with pytest.raises(RuntimeError, match="SVD"):
+            estimate_failure_rate(code, _FailingDecoder(code), PURE_Y, 8, seed=0)
 
 
 class TestConvergenceStudy:
