@@ -7,6 +7,7 @@ re-run the same pipelines small and compare output bytes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -412,3 +413,41 @@ def test_criterion_11():
         second = pipeline()
         assert first == second
         assert first.endswith("\n")
+
+
+
+# sha256 of the criterion-11 pipeline texts that print no MPS floating-point
+# results, so a refactor that claims byte-identical output can be checked
+# against the recorded bytes and not only against a rerun of itself.  A
+# deliberate output change updates its digest and says so in CHANGES.md.
+PINNED_PIPELINES = {
+    "cycle_decoder_benchmark": (
+        "79b1c2e864f9b91e5eef5d293de1ff01f5c59ae36752fb3a6178eb8b521befed",
+        lambda: cycle_decoder_benchmark(m=20, p=0.25, trials=2000, seed=20)[-1],
+    ),
+    "pure_y_verdict_comparison": (
+        "c10a0457d690168cceaf47a2861a2804482d51ad6897d8c62a34520899d668e2",
+        lambda: pure_y_verdict_comparison(distances=(5,), ps=(0.3,), samples=50, seed=60)[-1],
+    ),
+    "pure_y_threshold_sweep": (
+        "1cac25f88dc209cec602026584434b4b1a1c0d639a1843ce92ccd5497422da3e",
+        lambda: pure_y_threshold_sweep(distances=(3, 5), ps=(0.42, 0.5), trials=200, seed=70)[-1],
+    ),
+    "pure_y_decay_sweep": (
+        "b9d99297e6891d986e3bdd0adca89e9926298c345b5b2174dba24a7741e59fc6",
+        lambda: pure_y_decay_sweep(trials_by_distance={3: 2000, 5: 2000}, p=0.3, seed=80)[-1],
+    ),
+    "layout_comparison": (
+        "a9d6afc1ff4fcbdc98827e65c35d5f5f36c1cb43d6366f9dc13efed0832ceb95",
+        lambda: layout_comparison(trials=1000, p=0.3, seed=90)[-1],
+    ),
+}
+
+
+def test_pipeline_digests_are_pinned():
+    changed = [
+        name
+        for name, (digest, pipeline) in PINNED_PIPELINES.items()
+        if hashlib.sha256(pipeline().encode()).hexdigest() != digest
+    ]
+    assert not changed
