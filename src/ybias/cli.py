@@ -50,17 +50,30 @@ def parse_eta(text: str | float) -> float:
         eta = float(text)
     else:
         lowered = str(text).strip().lower()
-        eta = math.inf if lowered in ("inf", "infinity") else _parse_float(text)
+        eta = math.inf if lowered in ("inf", "infinity") else _number(text, "--eta")
     if not (eta > 0.0):
         raise ConfigError(f"eta must be positive or 'inf', got {text!r}")
     return eta
 
 
-def _parse_float(text) -> float:
+def _number(value, name: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the option it came from."""
     try:
-        return float(text)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"not a number: {text!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _listed(values, name: str):
+    """A repeatable option's flag tuple or config list; anything else is a ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return values
+
+
+def _numbers(values, name: str, kind=float) -> list:
+    return [_number(v, name, kind) for v in _listed(values, name)]
 
 
 def _load_config(path: str | None) -> dict:
@@ -130,8 +143,8 @@ def code_info_cmd(config_path, layout, j, k) -> None:
     """Report code parameters, pure-noise distances, and operator counts."""
     config = _load_config(config_path)
     layout = _require(_merge(layout, config, "layout"), "--layout")
-    j = int(_require(_merge(j, config, "j"), "-j"))
-    k = int(_require(_merge(k, config, "k"), "-k"))
+    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
+    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
     try:
         code = _build_code(layout, j, k)
     except ValueError as exc:
@@ -176,10 +189,14 @@ def _sweep_options(fn):
 
 def _resolve_workers(workers) -> int:
     if workers is None:
-        return default_workers()
+        try:
+            return default_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    workers = _number(workers, "--workers", int)
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    return int(workers)
+    return workers
 
 
 @cli.command("run")
@@ -190,27 +207,26 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
     """Estimate failure rates over a sweep of physical error rates."""
     config = _load_config(config_path)
     layout = _require(_merge(layout, config, "layout"), "--layout")
-    j = int(_require(_merge(j, config, "j"), "-j"))
-    k = int(_require(_merge(k, config, "k"), "-k"))
+    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
+    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
     eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
     decoder_name = _require(_merge(decoder_name, config, "decoder"), "--decoder")
-    chi = _merge(chi, config, "chi", 8)
-    ps = [float(p) for p in _merge(ps, config, "p", [])]
+    chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
+    ps = _numbers(_merge(ps, config, "p", []), "--p")
     fmt = _merge(fmt, config, "format", "csv")
-    seed = int(_merge(seed, config, "seed", 0))
+    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     try:
         code = _build_code(layout, j, k)
         models = [BiasedNoiseModel(p, eta) for p in ps]
-        decoders = [decoder_from_name(decoder_name, code, m, chi=int(chi)) for m in models]
+        decoders = [decoder_from_name(decoder_name, code, m, chi=chi) for m in models]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if ps:
-        trials = _merge(trials, config, "trials")
-        if trials is None or int(trials) < 1:
+        trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
+        if trials < 1:
             raise ConfigError("--trials must be >= 1")
-        trials = int(trials)
     rows = []
     for model, decoder in zip(models, decoders):
         result = estimate_failure_rate(code, decoder, model, trials, seed, workers=workers)
@@ -249,15 +265,16 @@ def threshold_cmd(
     layout = _merge(layout, config, "layout", "rotated")
     eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
     decoder_name = _require(_merge(decoder_name, config, "decoder"), "--decoder")
-    chi = int(_merge(chi, config, "chi", 8))
-    ps = [float(p) for p in _merge(ps, config, "p", [])]
-    distances = [int(d) for d in _merge(distances, config, "distances", [])]
-    trials = int(_require(_merge(trials, config, "trials"), "--trials"))
-    seed = int(_merge(seed, config, "seed", 0))
+    chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
+    ps = _numbers(_merge(ps, config, "p", []), "--p")
+    distances = _numbers(_merge(distances, config, "distances", []), "-d", int)
+    trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
+    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     pc_init = _merge(pc_init, config, "pc_init")
-    nu_init = float(_merge(nu_init, config, "nu_init", 1.0))
+    pc_init = None if pc_init is None else _number(pc_init, "--pc-init")
+    nu_init = _number(_merge(nu_init, config, "nu_init", 1.0), "--nu-init")
     if len(distances) < 3:
         raise ConfigError(f"need >= 3 distances, got {distances}")
     if len(ps) < 3:
@@ -298,11 +315,7 @@ def threshold_cmd(
     meta_json = {key: format_number(value) for key, value in metadata.items()}
     payload: dict = {"metadata": meta_json, "rows": rows}
     try:
-        fit = fit_threshold(
-            points,
-            nu_init=nu_init,
-            pc_init=None if pc_init is None else float(pc_init),
-        )
+        fit = fit_threshold(points, nu_init=nu_init, pc_init=pc_init)
     except (ValueError, RuntimeError) as exc:
         payload["fit_error"] = str(exc)
         _emit(out, json_text(payload))
@@ -318,7 +331,7 @@ def threshold_cmd(
 def hashing_bound_cmd(config_path, etas, out) -> None:
     """Tabulate the hashing-bound threshold for each bias value."""
     config = _load_config(config_path)
-    etas = [parse_eta(e) for e in _merge(etas, config, "eta", [])]
+    etas = [parse_eta(e) for e in _listed(_merge(etas, config, "eta", []), "--eta")]
     out = _merge(out, config, "out")
     rows = [{"eta": eta, "p_c": hashing_bound(eta)} for eta in etas]
     metadata = _base_metadata(
@@ -339,13 +352,13 @@ def convergence_cmd(
     layout = _merge(layout, config, "layout", "rotated")
     if layout != "rotated":
         raise ConfigError("convergence studies run on rotated-layout codes")
-    j = int(_require(_merge(j, config, "j"), "-j"))
-    k = int(_require(_merge(k, config, "k"), "-k"))
+    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
+    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
     eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
-    p = _parse_float(_require(_merge(p, config, "p"), "--p"))
-    chis = [int(c) for c in _merge(chis, config, "chis", [])]
-    trials = int(_require(_merge(trials, config, "trials"), "--trials"))
-    seed = int(_merge(seed, config, "seed", 0))
+    p = _number(_require(_merge(p, config, "p"), "--p"), "--p")
+    chis = _numbers(_merge(chis, config, "chis", []), "--chis", int)
+    trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
+    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     if len(chis) < 2:

@@ -14,6 +14,10 @@ row-major; checks sit on faces (a,b) with a in 0..j, b in 0..k, touching the
 grid corners of the face.  A face is X-type iff a+b is odd.  Interior faces
 are always present; top/bottom boundary faces only when Z-type, left/right
 only when X-type, so X strings terminate on the left/right boundaries.
+
+Check matrices are read-only 2-D uint8 arrays of 0/1 entries, one row per
+check and one column per qubit: ``x_checks``, ``z_checks`` and their stack
+``y_checks`` (X rows first), which is the parity map seen by Y-type errors.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import BitMatrix, Gf2Solver, matmul_mod2
+from .gf2 import Gf2Solver, matmul_mod2
 from .pauli import PauliOperator
 
 __all__ = [
@@ -61,6 +65,13 @@ class CodeFamily:
         return cls("gcd_g", g)
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """A read-only uint8 copy, so a shared check matrix cannot be edited in place."""
+    frozen = np.array(matrix, dtype=np.uint8)
+    frozen.setflags(write=False)
+    return frozen
+
+
 class StabilizerCode:
     """A surface code instance: check matrices, coordinates, and logicals."""
 
@@ -70,8 +81,8 @@ class StabilizerCode:
         j: int,
         k: int,
         qubit_coords: tuple[tuple[int, int], ...],
-        x_checks: BitMatrix,
-        z_checks: BitMatrix,
+        x_checks: np.ndarray,
+        z_checks: np.ndarray,
         x_check_coords: tuple[tuple[int, int], ...],
         z_check_coords: tuple[tuple[int, int], ...],
         logical_x: PauliOperator,
@@ -82,8 +93,8 @@ class StabilizerCode:
         self.k = k
         self.n = len(qubit_coords)
         self.qubit_coords = qubit_coords
-        self.x_checks = x_checks
-        self.z_checks = z_checks
+        self.x_checks = _read_only(x_checks)
+        self.z_checks = _read_only(z_checks)
         self.x_check_coords = x_check_coords
         self.z_check_coords = z_check_coords
         self.logical_x = logical_x
@@ -94,21 +105,9 @@ class StabilizerCode:
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def x_dense(self) -> np.ndarray:
-        return self.x_checks.to_dense()
-
-    @cached_property
-    def z_dense(self) -> np.ndarray:
-        return self.z_checks.to_dense()
-
-    @cached_property
-    def y_check_matrix(self) -> BitMatrix:
+    def y_checks(self) -> np.ndarray:
         """Incidence of every check on every qubit: the parity map seen by Y-type errors."""
-        return self.x_checks.stack(self.z_checks)
-
-    @cached_property
-    def y_dense(self) -> np.ndarray:
-        return self.y_check_matrix.to_dense()
+        return _read_only(np.vstack([self.x_checks, self.z_checks]))
 
     @cached_property
     def x_solver(self) -> Gf2Solver:
@@ -120,7 +119,7 @@ class StabilizerCode:
 
     @cached_property
     def y_solver(self) -> Gf2Solver:
-        return Gf2Solver(self.y_check_matrix)
+        return Gf2Solver(self.y_checks)
 
     @cached_property
     def logical_y(self) -> PauliOperator:
@@ -128,11 +127,11 @@ class StabilizerCode:
 
     @property
     def num_x_checks(self) -> int:
-        return self.x_checks.rows
+        return self.x_checks.shape[0]
 
     @property
     def num_z_checks(self) -> int:
-        return self.z_checks.rows
+        return self.z_checks.shape[0]
 
     @property
     def num_checks(self) -> int:
@@ -161,11 +160,11 @@ class StabilizerCode:
         if self.num_checks != self.n - 1:
             raise AssertionError(f"{self.id}: {self.num_checks} checks != n-1 = {self.n - 1}")
         # CSS commutation: every X-check support must overlap every Z-check evenly.
-        if matmul_mod2(self.x_dense, self.z_dense.T).any():
+        if matmul_mod2(self.x_checks, self.z_checks.T).any():
             raise AssertionError(f"{self.id}: non-commuting check pair")
-        if matmul_mod2(self.z_dense, self.logical_x.x_bits).any():
+        if matmul_mod2(self.z_checks, self.logical_x.x_bits).any():
             raise AssertionError(f"{self.id}: logical X anticommutes with a Z check")
-        if matmul_mod2(self.x_dense, self.logical_z.z_bits).any():
+        if matmul_mod2(self.x_checks, self.logical_z.z_bits).any():
             raise AssertionError(f"{self.id}: logical Z anticommutes with an X check")
         if self.logical_x.commutes_with(self.logical_z):
             raise AssertionError(f"{self.id}: logical X and Z must anticommute")
@@ -187,8 +186,8 @@ class StabilizerCode:
         return (r - 1) * self.k + (c - 1)
 
     def to_json(self) -> str:
-        lines = ["".join(map(str, row)) for row in self.x_dense]
-        zlines = ["".join(map(str, row)) for row in self.z_dense]
+        lines = ["".join(map(str, row)) for row in self.x_checks]
+        zlines = ["".join(map(str, row)) for row in self.z_checks]
         return json.dumps(
             {
                 "layout": self.layout,
@@ -266,8 +265,8 @@ def build_standard_code(j: int, k: int) -> StabilizerCode:
         j,
         k,
         tuple(coords),
-        BitMatrix.from_dense(np.array(x_rows, dtype=np.uint8)),
-        BitMatrix.from_dense(np.array(z_rows, dtype=np.uint8)),
+        np.array(x_rows, dtype=np.uint8),
+        np.array(z_rows, dtype=np.uint8),
         tuple(x_coords),
         tuple(z_coords),
         PauliOperator.x_type(lx),
@@ -340,8 +339,8 @@ def build_rotated_code(j: int, k: int) -> StabilizerCode:
         j,
         k,
         coords,
-        BitMatrix.from_dense(np.array(x_rows, dtype=np.uint8)),
-        BitMatrix.from_dense(np.array(z_rows, dtype=np.uint8)),
+        np.array(x_rows, dtype=np.uint8),
+        np.array(z_rows, dtype=np.uint8),
         tuple(x_coords),
         tuple(z_coords),
         PauliOperator.x_type(lx),
@@ -353,8 +352,8 @@ def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:
     """Anticommutation bit per generator: X-check bits first, then Z-check bits."""
     if e.n != code.n:
         raise ValueError(f"operator has {e.n} qubits, code has {code.n}")
-    sx = matmul_mod2(code.x_dense, e.z_bits)
-    sz = matmul_mod2(code.z_dense, e.x_bits)
+    sx = matmul_mod2(code.x_checks, e.z_bits)
+    sz = matmul_mod2(code.z_checks, e.x_bits)
     return np.concatenate([sx, sz])
 
 

@@ -28,7 +28,7 @@ from .codes import (
     construct_y_stabilizer_group,
     propagate_y_from_top,
 )
-from .gf2 import BitMatrix, Gf2Solver, matmul_mod2, solve
+from .gf2 import Gf2Solver, matmul_mod2, solve
 from .noise import BiasedNoiseModel
 from .pauli import PauliOperator
 from .ycode import YCodeStructure, cycle_code, y_code_structure
@@ -123,7 +123,7 @@ def cycle_decode(m: int, triangle_syndromes: Mapping[tuple[int, int, int], int])
         raise ValueError(f"missing triangle syndrome for {missing}") from None
     if solve(code.checks, s) is None:
         raise ValueError("inconsistent triangle syndrome set")
-    votes = code.checks.to_dense().T.astype(np.int64) @ s.astype(np.int64)
+    votes = code.checks.T.astype(np.int64) @ s.astype(np.int64)
     return (2 * votes > m - 2).astype(np.uint8)
 
 
@@ -136,7 +136,7 @@ def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
     """
     code = cycle_code(m)
     te = _triangle_edge_indices(m)
-    dense = code.checks.to_dense().astype(np.float32)
+    dense = code.checks.astype(np.float32)
     out = np.empty_like(errors)
     chunk = max(256, (64 * 1024 * 1024) // (4 * max(1, len(code.triangles))))
     for lo in range(0, errors.shape[0], chunk):
@@ -194,7 +194,7 @@ class _StandardYTools:
                 & 1
             ).astype(np.uint8)
             self.group = matmul_mod2(subset_bits, gen_matrix)
-            self.stab_reducer = Gf2Solver(BitMatrix.from_dense(gen_matrix))
+            self.stab_reducer = Gf2Solver(gen_matrix)
         else:
             self.group = np.zeros((1, code.n), dtype=np.uint8)
             self.stab_reducer = None
@@ -210,7 +210,7 @@ class _StandardYTools:
             for c, supp in self.destabilizers.items():
                 expected = np.zeros(code.num_checks, dtype=np.uint8)
                 expected[(j - 1) * (k - 1) + (c - 1)] = 1
-                if not np.array_equal(matmul_mod2(code.y_dense, supp), expected):
+                if not np.array_equal(matmul_mod2(code.y_checks, supp), expected):
                     raise AssertionError(
                         f"{code.id}: destabilizer for bottom vertex {c} flips extra checks"
                     )
@@ -242,7 +242,7 @@ class _StandardYTools:
         yH, yV = propagate_y_from_top(j, k, np.zeros(k, dtype=np.uint8), sv, sp)
         y = assemble_y_config(code, yH, yV)
 
-        residual = matmul_mod2(code.y_dense, y) ^ s
+        residual = matmul_mod2(code.y_checks, y) ^ s
         off_bottom = residual.copy()
         off_bottom[self.bottom_vertex_indices] = 0
         if off_bottom.any():
@@ -259,7 +259,7 @@ class _StandardYTools:
             if fix is None:
                 raise AssertionError(f"{code.id}: residual syndrome unexpectedly inconsistent")
             y ^= fix
-        if not np.array_equal(matmul_mod2(code.y_dense, y), s):
+        if not np.array_equal(matmul_mod2(code.y_checks, y), s):
             raise AssertionError(f"{code.id}: candidate recovery syndrome mismatch")
         return y
 
@@ -274,7 +274,7 @@ class _StandardYTools:
         class labels) as the one-shot path.
         """
         # Column q of the check matrix is the syndrome of a Y error at qubit q.
-        return np.stack([self.candidate(s) for s in self.code.y_dense.T])
+        return np.stack([self.candidate(s) for s in self.code.y_checks.T])
 
 
 @lru_cache(maxsize=32)
@@ -336,7 +336,7 @@ class ExactYDecoder:
         code = self.code
         errors = x_bits.astype(np.uint8)
         if code.layout == "rotated":
-            cands = code.y_solver.solve_batch(matmul_mod2(errors, code.y_dense.T))
+            cands = code.y_solver.solve_batch(matmul_mod2(errors, code.y_checks.T))
             group, reducer = np.zeros((1, code.n), dtype=np.uint8), None
         else:
             tools = _standard_y_tools(code)
@@ -371,7 +371,7 @@ class _ConcatenatedTools:
         g = structure.g
         self.cycle = cycle_code(g + 1)
 
-        transpose_solver = Gf2Solver(code.y_check_matrix.transpose())
+        transpose_solver = Gf2Solver(code.y_checks.T)
 
         def functional(target_bits: np.ndarray) -> np.ndarray:
             u = transpose_solver.solve(target_bits)
@@ -483,7 +483,7 @@ def concatenated_y_decode(
         a, b = tools.rel_slices[block_idx]
         bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]
         y[members] = bits
-    if not np.array_equal(matmul_mod2(code.y_dense, y), s):
+    if not np.array_equal(matmul_mod2(code.y_checks, y), s):
         raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
     return DecodeOutcome(PauliOperator.y_type(y), None, None)
 
@@ -509,11 +509,9 @@ class _BruteTools:
             raise ValueError(f"brute-force oracle limited to n <= 16, got n = {code.n}")
         self.code = code
         n = code.n
-        x_dense = code.x_dense
-        z_dense = code.z_dense
         gens = np.zeros((code.num_checks, 2 * n), dtype=np.uint8)
-        gens[: code.num_x_checks, :n] = x_dense
-        gens[code.num_x_checks :, n:] = z_dense
+        gens[: code.num_x_checks, :n] = code.x_checks
+        gens[code.num_x_checks :, n:] = code.z_checks
         count = code.num_checks
         subset_bits = (
             (np.arange(2**count, dtype=np.int64)[:, None] >> np.arange(count)) & 1

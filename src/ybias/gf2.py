@@ -1,10 +1,12 @@
-"""Linear algebra over GF(2): one dense product kernel plus bit-packed RREF.
+"""Linear algebra over GF(2) on 2-D uint8 arrays of 0/1 entries.
 
-Every mod-2 product in the package goes through :func:`matmul_mod2`.  Row
-reduction keeps rows packed into 64-bit words, little-endian bit order
-within each word.  All public operations are pure: they never mutate their
-inputs, so matrices and the solver helpers built from them are safe to
-share across threads.
+Every matrix argument and result is a plain 0/1 ``uint8`` array (array-likes
+are accepted; anything not 2-D or not 0/1 raises ValueError).  Every mod-2
+product in the package goes through :func:`matmul_mod2`.  Only row
+reduction packs rows into 64-bit words (little-endian bit order within each
+word), privately, and unpacks its result.  All public operations are pure:
+they never mutate their inputs, so matrices and the solver helpers built
+from them are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "matmul_mod2",
-    "BitMatrix",
     "rank",
     "rref",
     "solve",
@@ -25,7 +26,6 @@ __all__ = [
 ]
 
 _WORD = 64
-_ONE = np.uint64(1)
 # float32 holds every integer below 2^24 exactly, so a 0/1 product whose
 # inner dimension stays below this bound has exact partial sums.
 _EXACT_INNER = 1 << 24
@@ -57,102 +57,19 @@ def _as_bit_array(bits: Iterable[int] | np.ndarray, length: int | None = None) -
     return arr
 
 
-class BitMatrix:
-    """Dense GF(2) matrix with rows packed into uint64 words.
-
-    Treated as immutable; operations return new instances.
-    """
-
-    def __init__(self, rows: int, cols: int, words: np.ndarray):
-        expected = (rows, max(1, -(-cols // _WORD)))
-        if words.shape != expected or words.dtype != np.uint64:
-            raise ValueError(f"packed data shape {words.shape} != {expected}")
-        self.rows = rows
-        self.cols = cols
-        self._words = words
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, max(1, -(-cols // _WORD))), dtype=np.uint64))
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None) -> "BitMatrix":
-        arr = np.asarray(dense, dtype=np.uint8)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
-            raise ValueError("matrix entries must be 0 or 1")
-        rows, ncols = arr.shape
-        if cols is None:
-            cols = ncols
-        elif cols != ncols:
-            raise ValueError(f"cols={cols} does not match data width {ncols}")
-        words = max(1, -(-cols // _WORD))
-        padded = np.zeros((rows, words * _WORD), dtype=np.uint8)
-        padded[:, :cols] = arr
-        packed = np.packbits(padded, axis=1, bitorder="little")
-        return cls(rows, cols, np.ascontiguousarray(packed).view(np.uint64).reshape(rows, words))
-
-    # -- accessors ---------------------------------------------------------
-
-    def to_dense(self) -> np.ndarray:
-        if self.rows == 0:
-            return np.zeros((0, self.cols), dtype=np.uint8)
-        as_bytes = np.ascontiguousarray(self._words).view(np.uint8).reshape(self.rows, -1)
-        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-        return bits[:, : self.cols].copy()
-
-    def row(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
-        return self.to_dense()[i]
-
-    def get(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r},{c}) out of range for {self.rows}x{self.cols}")
-        w, b = divmod(c, _WORD)
-        return int((self._words[r, w] >> np.uint64(b)) & _ONE)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T, cols=self.rows)
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if other.cols != self.cols:
-            raise ValueError(f"column mismatch: {self.cols} vs {other.cols}")
-        return BitMatrix(self.rows + other.rows, self.cols, np.vstack([self._words, other._words]))
-
-    def mul_vector(self, v: Iterable[int] | np.ndarray) -> np.ndarray:
-        """Matrix-vector product over GF(2); returns a uint8 array of length rows."""
-        return matmul_mod2(self.to_dense(), _as_bit_array(v, self.cols))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self._words, other._words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._words.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-    def __getstate__(self):
-        return (self.rows, self.cols, self._words)
-
-    def __setstate__(self, state):
-        self.rows, self.cols, self._words = state
+def _as_bit_matrix(M: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Coerce to a 2-D uint8 array of 0/1 values."""
+    arr = np.asarray(M, dtype=np.uint8)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if arr.size and arr.max() > 1:
+        raise ValueError("matrix entries must be 0 or 1")
+    return arr
 
 
 def _rref_words(words: np.ndarray, rows: int, cols: int) -> list[int]:
     """In-place reduced row echelon form; returns the pivot column list."""
+    one = np.uint64(1)
     r = 0
     pivots: list[int] = []
     for c in range(cols):
@@ -160,14 +77,14 @@ def _rref_words(words: np.ndarray, rows: int, cols: int) -> list[int]:
             break
         w, b = divmod(c, _WORD)
         shift = np.uint64(b)
-        col = (words[r:, w] >> shift) & _ONE
+        col = (words[r:, w] >> shift) & one
         hits = np.nonzero(col)[0]
         if hits.size == 0:
             continue
         p = r + int(hits[0])
         if p != r:
             words[[r, p]] = words[[p, r]]
-        mask = ((words[:, w] >> shift) & _ONE).astype(bool)
+        mask = ((words[:, w] >> shift) & one).astype(bool)
         mask[r] = False
         if mask.any():
             words[mask] ^= words[r]
@@ -176,58 +93,63 @@ def _rref_words(words: np.ndarray, rows: int, cols: int) -> list[int]:
     return pivots
 
 
-def rref(M: BitMatrix) -> tuple[BitMatrix, list[int]]:
+def _reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """RREF of a 0/1 matrix, row-reduced with each row packed into uint64 words."""
+    rows, cols = M.shape
+    padded = np.zeros((rows, max(1, -(-cols // _WORD)) * _WORD), dtype=np.uint8)
+    padded[:, :cols] = M
+    words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    pivots = _rref_words(words, rows, cols)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :cols], pivots
+
+
+def rref(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    words = M._words.copy()
-    pivots = _rref_words(words, M.rows, M.cols)
-    return BitMatrix(M.rows, M.cols, words), pivots
+    return _reduce(_as_bit_matrix(M))
 
 
-def rank(M: BitMatrix) -> int:
+def rank(M: np.ndarray) -> int:
     """Dimension of the row space over GF(2)."""
-    words = M._words.copy()
-    return len(_rref_words(words, M.rows, M.cols))
+    return len(rref(M)[1])
 
 
-def solve(M: BitMatrix, b: Iterable[int] | np.ndarray) -> np.ndarray | None:
+def solve(M: np.ndarray, b: Iterable[int] | np.ndarray) -> np.ndarray | None:
     """Solve Mx = b over GF(2).
 
     Returns the canonical particular solution with all free variables fixed
     to 0 under RREF pivot ordering, or None if the system is inconsistent.
     """
-    vec = _as_bit_array(b, M.rows)
-    aug = BitMatrix.from_dense(np.hstack([M.to_dense(), vec.reshape(-1, 1)]))
-    reduced, pivots = rref(aug)
-    if pivots and pivots[-1] == M.cols:
+    M = _as_bit_matrix(M)
+    rows, cols = M.shape
+    reduced, pivots = _reduce(np.hstack([M, _as_bit_array(b, rows).reshape(-1, 1)]))
+    if pivots and pivots[-1] == cols:
         return None  # a pivot in the augmented column: 0 = 1
-    x = np.zeros(M.cols, dtype=np.uint8)
-    dense = reduced.to_dense()
-    for i, c in enumerate(pivots):
-        x[c] = dense[i, M.cols]
+    x = np.zeros(cols, dtype=np.uint8)
+    x[pivots] = reduced[: len(pivots), cols]
     return x
 
 
-def nullspace_basis(M: BitMatrix) -> list[np.ndarray]:
+def nullspace_basis(M: np.ndarray) -> list[np.ndarray]:
     """Basis of the kernel: cols - rank independent vectors, each with Mv = 0."""
     reduced, pivots = rref(M)
-    dense = reduced.to_dense()
+    cols = reduced.shape[1]
     pivot_set = set(pivots)
     basis: list[np.ndarray] = []
-    for free in range(M.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        v = np.zeros(M.cols, dtype=np.uint8)
+        v = np.zeros(cols, dtype=np.uint8)
         v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = dense[i, free]
+        v[pivots] = reduced[: len(pivots), free]
         basis.append(v)
     return basis
 
 
-def in_rowspace(M: BitMatrix, v: Iterable[int] | np.ndarray) -> bool:
+def in_rowspace(M: np.ndarray, v: Iterable[int] | np.ndarray) -> bool:
     """True iff v lies in the GF(2) row space of M."""
-    vec = _as_bit_array(v, M.cols)
-    return rank(M.stack(BitMatrix.from_dense(vec.reshape(1, -1)))) == rank(M)
+    M = _as_bit_matrix(M)
+    return rank(np.vstack([M, _as_bit_array(v, M.shape[1])])) == rank(M)
 
 
 class Gf2Solver:
@@ -238,27 +160,22 @@ class Gf2Solver:
     mod-2 matmul.  Also provides a membership reducer for the row space.
     """
 
-    def __init__(self, M: BitMatrix):
-        self.rows = M.rows
-        self.cols = M.cols
+    def __init__(self, M: np.ndarray):
+        M = _as_bit_matrix(M)
+        self.rows, self.cols = M.shape
         # RREF of [M | I] = [R | T] with R = T M.
-        aug = BitMatrix.from_dense(
-            np.hstack([M.to_dense(), np.eye(M.rows, dtype=np.uint8)])
-        )
-        words = aug._words.copy()
-        pivots = [c for c in _rref_words(words, aug.rows, aug.cols) if c < M.cols]
-        dense = BitMatrix(aug.rows, aug.cols, words).to_dense()
+        dense, pivots = _reduce(np.hstack([M, np.eye(self.rows, dtype=np.uint8)]))
+        pivots = [c for c in pivots if c < self.cols]
         self.pivots = pivots
         self.rank = len(pivots)
-        transform = dense[:, M.cols :]
+        transform = dense[:, self.cols :]
         # x = S b: row of S at each pivot column copies the matching transformed row.
-        scatter = np.zeros((M.cols, M.rows), dtype=np.uint8)
-        for i, c in enumerate(pivots):
-            scatter[c] = transform[i]
+        scatter = np.zeros((self.cols, self.rows), dtype=np.uint8)
+        scatter[pivots] = transform[: self.rank]
         self.solution_matrix = scatter
         # b is attainable iff the transformed rows below the rank are orthogonal to it.
         self.consistency_matrix = transform[self.rank :]
-        self._reduced_rows = dense[: self.rank, : M.cols]
+        self._reduced_rows = dense[: self.rank, : self.cols]
 
     def is_consistent(self, b: np.ndarray) -> bool:
         return not matmul_mod2(self.consistency_matrix, _as_bit_array(b, self.rows)).any()

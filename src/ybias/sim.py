@@ -487,10 +487,8 @@ def write_json(path: str, payload: Mapping) -> None:
 
 
 def default_workers() -> int:
-    value = os.environ.get("YBIAS_WORKERS", "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise ValueError(f"YBIAS_WORKERS must be an integer, got {value!r}") from None
-    return 1
+    """Worker count from YBIAS_WORKERS (1 when unset); ValueError unless an integer >= 1."""
+    value = os.environ.get("YBIAS_WORKERS", "").strip() or "1"
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"YBIAS_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)

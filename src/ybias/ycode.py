@@ -11,7 +11,7 @@ i2 cross q, and is a pinned boundary qubit iff no diagonal crosses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -24,7 +24,6 @@ from .codes import (
     propagate_y_from_top,
     syndrome,
 )
-from .gf2 import BitMatrix
 from .pauli import PauliOperator
 
 __all__ = ["YCodeStructure", "y_code_structure", "CycleCode", "cycle_code"]
@@ -37,7 +36,9 @@ class CycleCode:
     m: int
     edges: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    checks: BitMatrix
+    # Read-only triangle x edge incidence; fixed by the triangles, and left
+    # out of == and hash because an array supports neither.
+    checks: np.ndarray = field(compare=False)
 
     @property
     def num_bits(self) -> int:
@@ -76,7 +77,8 @@ def cycle_code(m: int) -> CycleCode:
     for t, (a, b, c) in enumerate(triangles):
         for e in ((a, b), (b, c), (a, c)):
             rows[t, edge_index[e]] = 1
-    return CycleCode(m, edges, triangles, BitMatrix.from_dense(rows))
+    rows.setflags(write=False)
+    return CycleCode(m, edges, triangles, rows)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ def all_paulis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_syndromes(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Syndromes for many Paulis at once, X-check bits first (matches codes.syndrome)."""
-    sx = (code.x_dense.astype(np.uint64) @ z.T.astype(np.uint64)) & 1
-    sz = (code.z_dense.astype(np.uint64) @ x.T.astype(np.uint64)) & 1
+    sx = (code.x_checks.astype(np.uint64) @ z.T.astype(np.uint64)) & 1
+    sz = (code.z_checks.astype(np.uint64) @ x.T.astype(np.uint64)) & 1
     return np.vstack([sx, sz]).T.astype(np.uint8)
 
 
@@ -86,7 +86,7 @@ def enumerate_coset_probs(
 
 def y_kernel(code: StabilizerCode) -> list[np.ndarray]:
     """Nullspace basis of the Y-restricted check matrix (bit-per-qubit view)."""
-    return nullspace_basis(code.y_check_matrix)
+    return nullspace_basis(code.y_checks)
 
 
 def y_kernel_span(code: StabilizerCode) -> np.ndarray:

@@ -31,7 +31,7 @@ from ybias.decoders import (
     cycle_failure_bound,
     logical_class_representatives,
 )
-from ybias.gf2 import BitMatrix, nullspace_basis, rank
+from ybias.gf2 import nullspace_basis, rank
 from ybias.noise import BiasedNoiseModel, hashing_bound, sample_error
 from ybias.pauli import PauliOperator
 from ybias.sim import (
@@ -205,7 +205,7 @@ def biased_threshold_sweep(distances, ps, trials: int, chi: int, seed: int):
 
 def brute_force_y_operators(code):
     """Y-type logical count and minimum weight from the raw kernel span."""
-    basis = nullspace_basis(code.y_check_matrix)
+    basis = nullspace_basis(code.y_checks)
     dim = len(basis)
     stack = np.stack(basis)
     subsets = (
@@ -264,7 +264,7 @@ def test_criterion_02():
             expected[4 * t] = g * (g + 1) // 2 - 2 * g + 1
         assert blocks == {size: mult for size, mult in expected.items() if mult}
         diagonals = np.stack([op.x_bits for op in structure.extended_diagonals])
-        assert rank(BitMatrix.from_dense(diagonals)) == g
+        assert rank(diagonals) == g
 
 
 def test_criterion_03():
@@ -297,7 +297,7 @@ def test_criterion_04():
         (np.arange(1 << len(basis), dtype=np.int64)[:, None] >> np.arange(len(basis))) & 1
     ).astype(np.uint8)
     codewords = (subsets @ stack) & 1
-    dense = code.checks.to_dense()
+    dense = code.checks
     checked = 0
     for pattern in range(1 << code.num_bits):
         e = ((pattern >> np.arange(code.num_bits)) & 1).astype(np.uint8)

@@ -176,6 +176,19 @@ class TestRun:
         rc, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert rc == 1 and "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "config,option",
+        [({"j": "x"}, "-j"), ({"trials": "many"}, "--trials"), ({"p": 0.1}, "--p")],
+        ids=["j-not-integer", "trials-not-integer", "p-not-list"],
+    )
+    def test_malformed_config_value_exits_one(self, capsys, tmp_path, config, option):
+        base = {"layout": "rotated", "j": 3, "k": 3, "eta": "inf", "decoder": "exact-y",
+                "p": [0.2], "trials": 50}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**base, **config}), encoding="utf-8")
+        rc, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert rc == 1 and err.startswith("error:") and option in err
+
     def test_workers_env_default_matches_serial_run(self, capsys, monkeypatch):
         rc, serial, _ = run_cli(capsys, *self.ARGS)
         assert rc == 0
@@ -187,6 +200,12 @@ class TestRun:
     def test_invalid_workers_exit_one(self, capsys):
         rc, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")
         assert rc == 1 and "--workers" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    def test_invalid_workers_env_exits_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("YBIAS_WORKERS", value)
+        rc, _, err = run_cli(capsys, *self.ARGS)
+        assert rc == 1 and err.startswith("error:") and "YBIAS_WORKERS" in err
 
 
 class TestHashingBound:

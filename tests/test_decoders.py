@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import support
@@ -25,7 +28,7 @@ from ybias.decoders import (
     mps_decode_rotated,
     repetition_decode,
 )
-from ybias.gf2 import nullspace_basis
+from ybias.gf2 import matmul_mod2, nullspace_basis
 from ybias.noise import BiasedNoiseModel, sample_error
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
@@ -35,7 +38,7 @@ PURE_Y = lambda p: BiasedNoiseModel(p=p, eta=math.inf)  # noqa: E731
 
 
 def y_syndrome(code, y_bits):
-    return code.y_check_matrix.mul_vector(y_bits)
+    return matmul_mod2(code.y_checks, y_bits)
 
 
 def triangle_map(m, edge_bits):
@@ -101,7 +104,7 @@ class TestCycleDecode:
             (np.arange(1 << len(basis), dtype=np.int64)[:, None] >> np.arange(len(basis))) & 1
         ).astype(np.uint8)
         codewords = (subsets @ stack) & 1  # the 8-element cut space
-        dense = code.checks.to_dense()
+        dense = code.checks
         checked = 0
         for bits in itertools.product((0, 1), repeat=code.num_bits):
             e = np.array(bits, dtype=np.uint8)
@@ -289,7 +292,7 @@ class TestExactML:
         """
         code = build_standard_code(3, 4)
         n = code.n
-        basis = nullspace_basis(code.y_check_matrix)
+        basis = nullspace_basis(code.y_checks)
         assert len(basis) == 1
         kernel = basis[0]
         decoder = ExactYDecoder(code, PURE_Y(0.1))
@@ -320,7 +323,7 @@ class TestExactML:
         tie_idx = np.flatnonzero(ties)
         partner_idx = tie_idx ^ int(kernel @ (1 << np.arange(n, dtype=np.int64)))
         assert np.array_equal(success[tie_idx] ^ success[partner_idx], np.ones_like(ties[tie_idx]))
-        h = code.y_check_matrix.to_dense().astype(np.uint64)
+        h = code.y_checks.astype(np.uint64)
         rng = np.random.default_rng(40)
         for i in rng.choice(tie_idx, size=60, replace=False):
             e = configs[i]
@@ -567,3 +570,34 @@ def test_outcome_is_frozen():
     outcome = DecodeOutcome(PauliOperator.identity(2), "I", {"I": 0.0})
     with pytest.raises(AttributeError):
         outcome.verdict = "L"
+
+
+@functools.cache
+def _code(layout, j, k):
+    return (build_rotated_code if layout == "rotated" else build_standard_code)(j, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout_j_k=st.one_of(
+        st.tuples(st.just("standard"), st.integers(2, 4), st.integers(2, 4)),
+        st.tuples(st.just("rotated"), st.sampled_from([3, 5]), st.sampled_from([3, 5])),
+        # n = 72 and n = 81: check rows and GF(2) rows that span two words.
+        st.sampled_from([("standard", 6, 7), ("rotated", 9, 9)]),
+    ),
+    eta=st.sampled_from([0.5, 10.0, math.inf]),
+    p=st.floats(0.01, 0.3),
+    name=st.sampled_from(["exact-y", "concatenated-y", "brute-force", "mps"]),
+    seed=st.integers(0, 2**16),
+)
+def test_decoders_reject_the_config_or_reproduce_every_syndrome(layout_j_k, eta, p, name, seed):
+    code = _code(*layout_j_k)
+    model = BiasedNoiseModel(p=p, eta=eta)
+    try:
+        decoder = decoder_from_name(name, code, model, chi=2)
+    except ValueError:
+        return
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        s = syndrome(code, sample_error(model, code.n, rng))
+        assert np.array_equal(syndrome(code, decoder.decode(s).recovery), s)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ybias.gf2 import (
-    BitMatrix,
     Gf2Solver,
     in_rowspace,
     matmul_mod2,
@@ -15,71 +14,44 @@ from ybias.gf2 import (
     solve,
 )
 
-
-def random_matrix(draw):
-    rows = draw(st.integers(1, 12))
-    cols = draw(st.integers(1, 12))
-    bits = draw(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-    return BitMatrix.from_dense(bits)
+# Row reduction packs rows into 64-bit words, so widths past 64 and 128
+# columns exercise rows spanning two and three words.
+matrices = st.tuples(
+    st.integers(1, 12), st.one_of(st.integers(1, 12), st.integers(60, 140))
+).flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1)))
 
 
-matrices = st.composite(lambda draw: random_matrix(draw))()
-
-
-class TestBitMatrix:
-    def test_round_trip(self):
-        dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        assert np.array_equal(BitMatrix.from_dense(dense).to_dense(), dense)
-
-    def test_wide_matrix_spans_words(self):
-        dense = (np.arange(2 * 130).reshape(2, 130) % 3 == 0).astype(np.uint8)
-        m = BitMatrix.from_dense(dense)
-        assert m.cols == 130
-        assert np.array_equal(m.to_dense(), dense)
-
+class TestInputChecks:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitMatrix.from_dense([[0, 2]])
-
-    def test_stack_and_transpose(self):
-        a = BitMatrix.from_dense([[1, 0], [1, 1]])
-        b = BitMatrix.from_dense([[0, 1]])
-        stacked = a.stack(b)
-        assert stacked.rows == 3
-        assert np.array_equal(stacked.transpose().to_dense(), stacked.to_dense().T)
-
-    def test_mul_vector(self):
-        m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
-        assert np.array_equal(m.mul_vector([1, 1, 1]), [0, 0])
-        assert np.array_equal(m.mul_vector([1, 0, 1]), [1, 1])
+        for bad in ([[0, 2]], [0, 1], [[[0, 1]]]):  # a 2, then 1-D, then 3-D
+            with pytest.raises(ValueError):
+                rank(bad)
+            with pytest.raises(ValueError):
+                solve(bad, [0])
+            with pytest.raises(ValueError):
+                Gf2Solver(bad)
 
 
 class TestSolve:
     def test_underdetermined_takes_canonical_solution(self):
         # Free variables are fixed to zero, so x = (1, 0), not (0, 1).
-        x = solve(BitMatrix.from_dense([[1, 1]]), [1])
+        x = solve(np.array([[1, 1]], dtype=np.uint8), [1])
         assert np.array_equal(x, [1, 0])
 
     def test_inconsistent_returns_none(self):
-        assert solve(BitMatrix.from_dense([[1], [1]]), [1, 0]) is None
+        assert solve(np.array([[1], [1]], dtype=np.uint8), [1, 0]) is None
 
     def test_exact_square_system(self):
-        m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+        m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.uint8)
         b = [1, 0, 1]
         x = solve(m, b)
-        assert np.array_equal(m.mul_vector(x), b)
+        assert np.array_equal(matmul_mod2(m, x), b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_rank_plus_nullity_is_cols(m):
-    assert rank(m) + len(nullspace_basis(m)) == m.cols
+    assert rank(m) + len(nullspace_basis(m)) == m.shape[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -87,22 +59,21 @@ def test_rank_plus_nullity_is_cols(m):
 def test_nullspace_vectors_are_kernel_members_and_independent(m):
     basis = nullspace_basis(m)
     for v in basis:
-        assert not m.mul_vector(v).any()
+        assert not matmul_mod2(m, v).any()
     if basis:
-        stacked = BitMatrix.from_dense(np.stack(basis))
-        assert rank(stacked) == len(basis)
+        assert rank(np.stack(basis)) == len(basis)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices, st.data())
 def test_solve_satisfies_system_or_detects_inconsistency(m, data):
-    b = data.draw(st.lists(st.integers(0, 1), min_size=m.rows, max_size=m.rows))
+    b = data.draw(st.lists(st.integers(0, 1), min_size=m.shape[0], max_size=m.shape[0]))
     x = solve(m, b)
     if x is None:
         # b outside the column space: the transposed row-space test agrees.
-        assert not in_rowspace(m.transpose(), b)
+        assert not in_rowspace(m.T, b)
     else:
-        assert np.array_equal(m.mul_vector(x), np.asarray(b, dtype=np.uint8))
+        assert np.array_equal(matmul_mod2(m, x), np.asarray(b, dtype=np.uint8))
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,14 +82,14 @@ def test_rref_is_idempotent(m):
     reduced, pivots = rref(m)
     again, pivots2 = rref(reduced)
     assert pivots == pivots2
-    assert np.array_equal(reduced.to_dense(), again.to_dense())
+    assert np.array_equal(reduced, again)
 
 
 @settings(max_examples=50, deadline=None)
 @given(matrices)
 def test_every_row_is_in_own_rowspace(m):
-    for i in range(m.rows):
-        assert in_rowspace(m, m.row(i))
+    for row in m:
+        assert in_rowspace(m, row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,7 +97,7 @@ def test_every_row_is_in_own_rowspace(m):
 def test_solver_matches_one_shot_solve(m, data):
     solver = Gf2Solver(m)
     b = np.asarray(
-        data.draw(st.lists(st.integers(0, 1), min_size=m.rows, max_size=m.rows)), dtype=np.uint8
+        data.draw(st.lists(st.integers(0, 1), min_size=m.shape[0], max_size=m.shape[0])), dtype=np.uint8
     )
     x = solve(m, b)
     assert solver.is_consistent(b) == (x is not None)
@@ -142,19 +113,19 @@ def test_solver_batch_matches_single(m, data):
     solver = Gf2Solver(m)
     rows = []
     for _ in range(5):
-        b = data.draw(st.lists(st.integers(0, 1), min_size=m.cols, max_size=m.cols))
-        rows.append(m.mul_vector(b))  # guaranteed consistent
+        b = data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1]))
+        rows.append(matmul_mod2(m, b))  # guaranteed consistent
     batch = solver.solve_batch(np.stack(rows))
     for b, x in zip(rows, batch):
         assert np.array_equal(solver.solve(b), x)
-        assert np.array_equal(m.mul_vector(x), b)
+        assert np.array_equal(matmul_mod2(m, x), b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.data())
 def test_rowspace_reduction_flags_members(m, data):
     solver = Gf2Solver(m)
-    v = data.draw(st.lists(st.integers(0, 1), min_size=m.cols, max_size=m.cols))
+    v = data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1]))
     reduced = solver.reduce_rowspace_batch(np.asarray([v], dtype=np.uint8))
     assert (not reduced.any()) == in_rowspace(m, v)
 

@@ -3,7 +3,7 @@ import pytest
 
 import support
 from ybias.codes import build_standard_code, syndrome
-from ybias.gf2 import BitMatrix, nullspace_basis, rank
+from ybias.gf2 import nullspace_basis, rank
 from ybias.ycode import cycle_code, extended_diagonal, y_code_structure
 
 
@@ -110,8 +110,7 @@ class TestExtendedDiagonals:
         for op in diagonals:
             assert op.is_y_type
             assert not syndrome(code, op).any()
-        stacked = BitMatrix.from_dense(np.stack([op.x_bits for op in diagonals]))
-        assert rank(stacked) == g
+        assert rank(np.stack([op.x_bits for op in diagonals])) == g
 
     @pytest.mark.parametrize("j,k", [(4, 4), (6, 4), (3, 4)])
     def test_span_splits_evenly_into_stabilizers_and_logicals(self, j, k):
