@@ -57,12 +57,18 @@ def parse_eta(text: str | float) -> float:
 
 
 def _number(value, name: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the option it came from."""
+    """``kind(value)``, or a ConfigError naming the option it came from.
+
+    An integer option refuses a non-integral float instead of truncating it.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return number
 
 
 def _listed(values, name: str):

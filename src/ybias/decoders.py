@@ -492,6 +492,8 @@ class ConcatenatedYDecoder:
     name = "concatenated-y"
 
     def __init__(self, code: StabilizerCode):
+        if code.layout != "standard":
+            raise ValueError("concatenated-y requires the standard layout")
         self.code = code
         self.structure = _concatenated_tools(code).structure
         self.params: dict = {}
@@ -581,7 +583,17 @@ class BruteForceDecoder:
 def mps_decode_rotated(
     code: StabilizerCode, model: BiasedNoiseModel, s: np.ndarray, chi: int
 ) -> DecodeOutcome:
-    """Approximate ML decoding by boundary-MPS contraction at bond cap chi."""
+    """Approximate ML decoding by boundary-MPS contraction at bond cap chi.
+
+    Two boundary sweeps score the four cosets.  Z on every qubit of the last
+    column k equals ``code.logical_z`` (column 1) times a stabilizer, so the
+    cosets of f and f * Zbar differ only in column k, and so do those of
+    f * Xbar and f * Ybar.  Each network from ``tensor.build_coset_network``
+    closes its sweep through columns 1..k-1 twice, giving I and Z from f and
+    X and Y from f * Xbar.  The labels are the same logical classes relative
+    to f as the code's own representatives, and the recovery is
+    ``f * reps[verdict]``.
+    """
     if code.layout != "rotated":
         raise ValueError("mps_decode_rotated requires a rotated-layout code")
     if chi < 1:
@@ -589,9 +601,9 @@ def mps_decode_rotated(
     f = candidate_recovery(code, s)
     reps = logical_class_representatives(code)
     scores: dict[str, float] = {}
-    for label in _CLASS_ORDER:
-        columns = tensor.build_coset_network(code, model, f.mul(reps[label]))
-        scores[label] = tensor.contract_columns(columns, chi)
+    for base, with_z in (("I", "Z"), ("X", "Y")):
+        columns = tensor.build_coset_network(code, model, f.mul(reps[base]))
+        scores[base], scores[with_z] = (float(v) for v in tensor.contract_columns(columns, chi))
     verdict = _argmax_class(scores, _CLASS_ORDER)
     return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
 

@@ -15,6 +15,16 @@ so contracting the network sums each stabilizer subset exactly once and the
 result equals the total probability of the coset of the reference Pauli.
 Columns are absorbed left to right into a boundary MPS that is compressed
 to bond dimension chi after every column (QR sweep, then SVD truncation).
+
+One sweep serves two cosets.  Z on every qubit of the last column k is a
+logical Z: it differs from the column-1 string ``code.logical_z`` by the
+product of the Z faces between the two columns.  So the cosets of a
+reference Pauli f and of f * Zbar_k share the site tensors of columns
+1..k-1 and differ only in column k.  ``build_coset_network`` stacks both
+versions of column k along its right bond, which is open (dimension 1) for
+a single coset, and the contraction closes the one boundary state once per
+index of that bond.  An ML decoder therefore sweeps twice (from f and from
+f * Xbar) instead of four times (Bravyi-Suchara-Vargo, arXiv:1405.4883).
 """
 
 from __future__ import annotations
@@ -155,24 +165,31 @@ def network_layout(code: StabilizerCode) -> NetworkLayout:
     return NetworkLayout(code.id, j, k, faces, columns)
 
 
+def _site_tensor(
+    site: SiteTensorSpec, probs: np.ndarray, rep: PauliOperator, z_flip: int = 0
+) -> np.ndarray:
+    fx = int(rep.x_bits[site.qubit])
+    fz = int(rep.z_bits[site.qubit]) ^ z_flip
+    return site.mask * probs[(site.x_parity ^ fx) + 2 * (site.z_parity ^ fz)]
+
+
 def build_coset_network(
     code: StabilizerCode, model: BiasedNoiseModel, rep: PauliOperator
 ) -> list[list[np.ndarray]]:
-    """Site tensors, column by column, for the coset of ``rep``.
+    """Site tensors, column by column, for the cosets of ``rep`` and ``rep * Zbar_k``.
 
-    Contracting the result sums prob(rep * S) over all stabilizers S.
+    Columns 1..k-1 belong to ``rep``.  The last column carries two closings
+    stacked along its right bond: index 0 for ``rep`` and index 1 for ``rep``
+    times Z on every qubit of column k.  Contracting the result gives, per
+    closing, the sum of prob(P * S) over all stabilizers S.
     """
     layout = network_layout(code)
     probs = model.class_probs
-    columns: list[list[np.ndarray]] = []
-    for col in layout.columns:
-        tensors = []
-        for site in col:
-            fx = int(rep.x_bits[site.qubit])
-            fz = int(rep.z_bits[site.qubit])
-            cats = (site.x_parity ^ fx) + 2 * (site.z_parity ^ fz)
-            tensors.append(site.mask * probs[cats])
-        columns.append(tensors)
+    columns = [[_site_tensor(site, probs, rep) for site in col] for col in layout.columns]
+    columns[-1] = [
+        np.concatenate([t, _site_tensor(site, probs, rep, z_flip=1)], axis=3)
+        for t, site in zip(columns[-1], layout.columns[-1])
+    ]
     return columns
 
 
@@ -223,7 +240,13 @@ def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
 def _compress(
     tensors: list[np.ndarray], chi: int, stats: dict | None
 ) -> tuple[list[np.ndarray], float, bool]:
-    """Left-canonicalize, truncate right-to-left, pull out the overall scale."""
+    """Left-canonicalize, truncate right-to-left, pull out the overall scale.
+
+    With ``stats`` given, records the largest kept bond (``max_bond_dim``),
+    the largest second-to-first singular value ratio (``max_rank2_ratio``)
+    and the largest share of squared singular values dropped by one
+    truncation (``discarded_weight``).
+    """
     j = len(tensors)
     for r in range(j - 1):
         a = tensors[r]
@@ -238,16 +261,20 @@ def _compress(
         u, svals, vt = _svd(a.reshape(dl, dr * p))
         if svals.size == 0 or svals[0] <= 0.0:
             return tensors, 0.0, True
-        if stats is not None and svals.size >= 2:
-            stats["max_rank2_ratio"] = max(
-                stats.get("max_rank2_ratio", 0.0), float(svals[1] / svals[0])
-            )
         keep = min(chi, svals.size)
+        if stats is not None:
+            weights = svals * svals
+            stats["max_bond_dim"] = max(stats.get("max_bond_dim", 0), keep)
+            stats["discarded_weight"] = max(
+                stats.get("discarded_weight", 0.0), float(weights[keep:].sum() / weights.sum())
+            )
+            if svals.size >= 2:
+                stats["max_rank2_ratio"] = max(
+                    stats.get("max_rank2_ratio", 0.0), float(svals[1] / svals[0])
+                )
         tensors[r] = vt[:keep].reshape(keep, dr, p)
         carry = u[:, :keep] * svals[:keep]
         tensors[r - 1] = np.einsum("abp,bc->acp", tensors[r - 1], carry)
-        if stats is not None:
-            stats["max_bond_dim"] = max(stats.get("max_bond_dim", 0), keep)
     norm = float(np.linalg.norm(tensors[0]))
     if norm == 0.0 or not math.isfinite(norm):
         return tensors, 0.0, True
@@ -269,32 +296,41 @@ def apply_and_truncate(
     return BoundaryMPS(tensors, mps.log_norm + factor, False)
 
 
-def _close(mps: BoundaryMPS, column: list[np.ndarray]) -> float:
-    """Absorb the final (physical-dimension-1) column and contract to a scalar."""
+def _close(mps: BoundaryMPS, column: list[np.ndarray]) -> np.ndarray:
+    """Absorb the final column and contract once per index of its right bond.
+
+    That bond is open, so each index is a separate closing of the same
+    boundary state; the result holds one log value per closing (-inf where
+    the value vanishes).
+    """
+    out = np.full(column[0].shape[3], -np.inf)
     if mps.is_zero:
-        return -np.inf
-    m = np.eye(1)
-    for t in _absorb(mps, column):
-        m = m @ t[:, :, 0]
-    value = float(m[0, 0])
-    if value <= 0.0 or not math.isfinite(value):
-        return -np.inf
-    return mps.log_norm + math.log(value)
+        return out
+    absorbed = _absorb(mps, column)
+    for i in range(out.size):
+        m = np.eye(1)
+        for t in absorbed:
+            m = m @ t[:, :, i]
+        value = float(m[0, 0])
+        if value > 0.0 and math.isfinite(value):
+            out[i] = mps.log_norm + math.log(value)
+    return out
 
 
 def contract_columns(
     columns: list[list[np.ndarray]], chi: int, stats: dict | None = None
-) -> float:
-    """Contract a column list to log(value); -inf when the value vanishes.
+) -> np.ndarray:
+    """Contract a column list to one log value per closing; -inf where it vanishes.
 
     The boundary MPS is compressed to bond dimension chi after each column
-    except the last, which is closed by a direct matrix chain.
+    except the last, which is closed by a direct matrix chain once per index
+    of its right bond.
     """
     mps = initial_boundary(len(columns[0]))
     for col in columns[:-1]:
         mps = apply_and_truncate(mps, col, chi, stats)
         if mps.is_zero:
-            return -np.inf
+            break
     return _close(mps, columns[-1])
 
 
@@ -306,4 +342,4 @@ def coset_log_probability(
     stats: dict | None = None,
 ) -> float:
     """log of the total probability of the coset rep * stabilizer group."""
-    return contract_columns(build_coset_network(code, model, rep), chi, stats)
+    return float(contract_columns(build_coset_network(code, model, rep), chi, stats)[0])

@@ -178,8 +178,13 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "config,option",
-        [({"j": "x"}, "-j"), ({"trials": "many"}, "--trials"), ({"p": 0.1}, "--p")],
-        ids=["j-not-integer", "trials-not-integer", "p-not-list"],
+        [
+            ({"j": "x"}, "-j"),
+            ({"trials": "many"}, "--trials"),
+            ({"p": 0.1}, "--p"),
+            ({"trials": 2.9}, "--trials must be an integer, got 2.9"),
+        ],
+        ids=["j-not-integer", "trials-not-integer", "p-not-list", "trials-not-integral"],
     )
     def test_malformed_config_value_exits_one(self, capsys, tmp_path, config, option):
         base = {"layout": "rotated", "j": 3, "k": 3, "eta": "inf", "decoder": "exact-y",
@@ -188,6 +193,14 @@ class TestRun:
         cfg.write_text(json.dumps({**base, **config}), encoding="utf-8")
         rc, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert rc == 1 and err.startswith("error:") and option in err
+
+    def test_concatenated_y_rejects_rotated_layout_by_name(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "run", "--layout", "rotated", "-j", "3", "-k", "3",
+            "--eta", "inf", "--decoder", "concatenated-y", "--p", "0.1", "--trials", "5",
+        )
+        assert rc == 1 and err.startswith("error:")
+        assert "concatenated-y requires the standard layout" in err
 
     def test_workers_env_default_matches_serial_run(self, capsys, monkeypatch):
         rc, serial, _ = run_cli(capsys, *self.ARGS)

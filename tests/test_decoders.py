@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import support
+from ybias import tensor
 from ybias.codes import build_rotated_code, build_standard_code, syndrome
 from ybias.decoders import (
     BruteForceDecoder,
@@ -25,6 +26,7 @@ from ybias.decoders import (
     cycle_failure_bound,
     decoder_from_name,
     exact_ml_y_decode,
+    logical_class_representatives,
     mps_decode_rotated,
     repetition_decode,
 )
@@ -205,6 +207,15 @@ class TestConcatenated:
         structure = y_code_structure(3, 4)
         with pytest.raises(ValueError):
             concatenated_y_decode(structure, code, np.zeros(code.num_checks, dtype=np.uint8))
+
+    def test_decoder_rejects_rotated_layout_by_name(self):
+        code = build_rotated_code(3, 3)
+        for build in (
+            lambda: ConcatenatedYDecoder(code),
+            lambda: decoder_from_name("concatenated-y", code, PURE_Y(0.1)),
+        ):
+            with pytest.raises(ValueError, match="concatenated-y requires the standard layout"):
+                build()
 
     def test_unattainable_syndrome_raises(self):
         # A coprime code's Y-check matrix has full row rank, so only wider
@@ -545,6 +556,24 @@ class TestMps:
         with pytest.raises(ValueError):
             MpsDecoder(code, BiasedNoiseModel(p=0.1, eta=0.5), chi=0)
 
+    @pytest.mark.parametrize("distance", [5, 7])
+    def test_decode_runs_two_sweeps(self, distance, monkeypatch):
+        # One sweep from f closes as I and Z, one from f * Xbar as X and Y.
+        code = build_rotated_code(distance, distance)
+        model = BiasedNoiseModel(p=0.15, eta=0.5)
+        decoder = MpsDecoder(code, model, chi=8)
+        s = syndrome(code, sample_error(model, code.n, np.random.default_rng(71)))
+        original = tensor.apply_and_truncate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "apply_and_truncate", counting)
+        decoder.decode(s)
+        assert len(calls) == 2 * (code.k - 1)
+
 
 class TestDecoderRegistry:
     def test_round_trip_names(self):
@@ -601,3 +630,36 @@ def test_decoders_reject_the_config_or_reproduce_every_syndrome(layout_j_k, eta,
     for _ in range(3):
         s = syndrome(code, sample_error(model, code.n, rng))
         assert np.array_equal(syndrome(code, decoder.decode(s).recovery), s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distance=st.sampled_from([3, 5]),
+    eta=st.sampled_from([0.5, 3.0]),
+    p=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_sweep_scores_match_four_independent_sweeps(distance, eta, p, seed):
+    """Closing two sweeps twice scores the cosets as four separate contractions do.
+
+    At chi = 64 no bond of these codes is truncated, so both paths are exact
+    up to rounding.
+    """
+    code = _code("rotated", distance, distance)
+    model = BiasedNoiseModel(p=p, eta=eta)
+    s = syndrome(code, sample_error(model, code.n, np.random.default_rng(seed)))
+    shared = mps_decode_rotated(code, model, s, chi=64).coset_scores
+    f = candidate_recovery(code, s)
+    alone = {
+        label: tensor.coset_log_probability(code, model, f.mul(rep), 64)
+        for label, rep in logical_class_representatives(code).items()
+    }
+    assert shared.keys() == alone.keys()
+    dominant = max(alone.values())
+    for label in alone:
+        a, b = shared[label], alone[label]
+        if a == -np.inf or b == -np.inf:
+            assert a == -np.inf or a < dominant - 10.0
+            assert b == -np.inf or b < dominant - 10.0
+        else:
+            assert a == pytest.approx(b, rel=1e-9)

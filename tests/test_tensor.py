@@ -12,6 +12,7 @@ from ybias.codes import build_rotated_code, build_standard_code, rotated_face_in
 from ybias.decoders import candidate_recovery, logical_class_representatives
 from ybias.noise import BiasedNoiseModel, sample_error
 from ybias.pauli import PauliOperator
+from ybias.sim import is_stabilizer
 from ybias.tensor import (
     BoundaryMPS,
     apply_and_truncate,
@@ -62,6 +63,28 @@ class TestNetworkStructure:
         with pytest.raises(ValueError):
             network_layout(build_standard_code(3, 3))
 
+    @pytest.mark.parametrize("j,k", [(3, 3), (3, 5), (5, 3), (7, 9)])
+    def test_last_column_z_string_is_a_logical_z(self, j, k):
+        # The paired closing of build_coset_network relies on this.
+        code = build_rotated_code(j, k)
+        z_last = np.zeros(code.n, dtype=np.uint8)
+        z_last[[code.qubit_index(r, k) for r in range(1, j + 1)]] = 1
+        assert is_stabilizer(code, code.logical_z.mul(PauliOperator.z_type(z_last)))
+
+    def test_network_closes_rep_and_rep_times_last_column_z(self):
+        code = build_rotated_code(3, 5)
+        model = BiasedNoiseModel(p=0.15, eta=0.5)
+        rng = np.random.default_rng(13)
+        rep = sample_error(model, code.n, rng)
+        z_last = np.zeros(code.n, dtype=np.uint8)
+        z_last[[code.qubit_index(r, code.k) for r in range(1, code.j + 1)]] = 1
+        columns = build_coset_network(code, model, rep)
+        assert [t.shape[3] for t in columns[-1]] == [2] * code.j
+        pair = contract_columns(columns, 64)
+        assert pair[0] == pytest.approx(coset_log_probability(code, model, rep, 64), rel=1e-12)
+        flipped = coset_log_probability(code, model, rep.mul(PauliOperator.z_type(z_last)), 64)
+        assert pair[1] == pytest.approx(flipped, rel=1e-12)
+
     def test_mps_truncation_respects_chi(self):
         code = build_rotated_code(5, 5)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
@@ -69,6 +92,18 @@ class TestNetworkStructure:
         stats: dict = {}
         contract_columns(columns, 3, stats)
         assert 1 <= stats["max_bond_dim"] <= 3
+
+    def test_discarded_weight(self):
+        model = BiasedNoiseModel(p=0.15, eta=0.5)
+        small = build_rotated_code(5, 5)
+        stats: dict = {}
+        coset_log_probability(small, model, PauliOperator.identity(small.n), 64, stats)
+        assert stats["max_bond_dim"] < 64
+        assert stats["discarded_weight"] == 0.0
+        large = build_rotated_code(9, 9)
+        stats = {}
+        coset_log_probability(large, model, PauliOperator.identity(large.n), 4, stats)
+        assert 0.0 < stats["discarded_weight"] < 1.0
 
     def test_chi_validation(self):
         mps = initial_boundary(3)
@@ -209,14 +244,15 @@ class TestContractionMechanics:
         base = contract_columns([list(col) for col in columns], 8)
         columns[1][2] = columns[1][2] * 3.5
         scaled = contract_columns(columns, 8)
-        assert math.isclose(scaled, base + math.log(3.5), rel_tol=1e-12)
+        assert scaled.shape == (2,)
+        np.testing.assert_allclose(scaled, base + math.log(3.5), rtol=1e-12)
 
     def test_zeroed_site_collapses_to_minus_infinity(self):
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
         columns = build_coset_network(code, model, PauliOperator.identity(code.n))
         columns[0][1] = columns[0][1] * 0.0
-        assert contract_columns(columns, 8) == -math.inf
+        assert (contract_columns(columns, 8) == -math.inf).all()
 
     def test_initial_boundary_is_trivial(self):
         mps = initial_boundary(4)
