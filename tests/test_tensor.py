@@ -71,19 +71,14 @@ class TestNetworkStructure:
         z_last[[code.qubit_index(r, k) for r in range(1, j + 1)]] = 1
         assert is_stabilizer(code, code.logical_z.mul(PauliOperator.z_type(z_last)))
 
-    def test_network_closes_rep_and_rep_times_last_column_z(self):
+    def test_second_closing_is_the_logical_z_coset(self):
         code = build_rotated_code(3, 5)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
-        rng = np.random.default_rng(13)
-        rep = sample_error(model, code.n, rng)
-        z_last = np.zeros(code.n, dtype=np.uint8)
-        z_last[[code.qubit_index(r, code.k) for r in range(1, code.j + 1)]] = 1
+        rep = sample_error(model, code.n, np.random.default_rng(13))
         columns = build_coset_network(code, model, rep)
         assert [t.shape[3] for t in columns[-1]] == [2] * code.j
-        pair = contract_columns(columns, 64)
-        assert pair[0] == pytest.approx(coset_log_probability(code, model, rep, 64), rel=1e-12)
-        flipped = coset_log_probability(code, model, rep.mul(PauliOperator.z_type(z_last)), 64)
-        assert pair[1] == pytest.approx(flipped, rel=1e-12)
+        with_z = coset_log_probability(code, model, rep.mul(code.logical_z), 64)
+        assert contract_columns(columns, 64)[1] == pytest.approx(with_z, rel=1e-12)
 
     def test_mps_truncation_respects_chi(self):
         code = build_rotated_code(5, 5)
