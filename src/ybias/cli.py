@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 
 def parse_eta(text: str | float) -> float:
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         eta = float(text)
     else:
         lowered = str(text).strip().lower()
@@ -59,10 +59,11 @@ def parse_eta(text: str | float) -> float:
 def _number(value, name: str, kind=float):
     """``kind(value)``, or a ConfigError naming the option it came from.
 
-    An integer option refuses a non-integral float instead of truncating it.
+    An integer option refuses a non-integral float instead of truncating it,
+    and no option takes a JSON boolean.
     """
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (kind is int and isinstance(value, float) and number != value):

@@ -83,10 +83,14 @@ def _classes_from_uniforms(model: BiasedNoiseModel, u: np.ndarray) -> np.ndarray
     """Map uniforms in [0,1) to Pauli classes (x + 2z encoding).
 
     Thresholds are cumulative [1-p, 1-p+p_X, 1-p+p_X+p_Z], so the order of
-    outcomes is I, X, Z, Y.
+    outcomes is I, X, Z, Y.  The class is the number of thresholds at or
+    below u, the count ``searchsorted(edges, u, side="right")`` gives.
     """
     edges = np.cumsum(model.class_probs)[:3]
-    return np.searchsorted(edges, u, side="right").astype(np.uint8)
+    classes = (u >= edges[0]).view(np.uint8)
+    classes += u >= edges[1]
+    classes += u >= edges[2]
+    return classes
 
 
 def sample_error(model: BiasedNoiseModel, n: int, rng: np.random.Generator) -> PauliOperator:

@@ -15,6 +15,11 @@ so contracting the network sums each stabilizer subset exactly once and the
 result equals the total probability of the coset of the reference Pauli.
 Columns are absorbed left to right into a boundary MPS that is compressed
 to bond dimension chi after every column (QR sweep, then SVD truncation).
+Absorption and the carries between sites are BLAS matrix products on
+reshaped views, and the sweeps call LAPACK ``geqrf``/``orgqr`` and ``gesdd``
+directly, because at these block sizes (at most a few dozen rows) the
+generic ``np.linalg.qr``/``scipy.linalg.svd`` wrappers cost more than the
+arithmetic.
 
 One sweep serves two cosets.  Z on every qubit of the last column k is a
 logical Z: it differs from the column-1 string ``code.logical_z`` by the
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .codes import StabilizerCode, rotated_face_included, rotated_face_is_x
 from .noise import BiasedNoiseModel
@@ -165,12 +170,41 @@ def network_layout(code: StabilizerCode) -> NetworkLayout:
     return NetworkLayout(code.id, j, k, faces, columns)
 
 
-def _site_tensor(
-    site: SiteTensorSpec, probs: np.ndarray, rep: PauliOperator, z_flip: int = 0
-) -> np.ndarray:
-    fx = int(rep.x_bits[site.qubit])
-    fz = int(rep.z_bits[site.qubit]) ^ z_flip
-    return site.mask * probs[(site.x_parity ^ fx) + 2 * (site.z_parity ^ fz)]
+@lru_cache(maxsize=16)
+def _site_tables(
+    code: StabilizerCode, model: BiasedNoiseModel
+) -> tuple[np.ndarray, tuple[tuple[tuple[np.ndarray, ...], ...], ...]]:
+    """Every site tensor the reference Pauli can select, built once per code and model.
+
+    Returns the qubits in site order and, per site, four read-only tensors
+    indexed by the reference's class ``x + 2z`` on that qubit.  A last-column
+    entry already stacks the closing of the class and of the class times Z
+    along its right bond.  Each tensor is a (up, down, left, right) view of a
+    C-contiguous (up, left, down, right) array, the layout ``_absorb``
+    multiplies without a copy.
+    """
+    layout = network_layout(code)
+    probs = model.class_probs
+
+    def variants(site: SiteTensorSpec, last: bool) -> tuple[np.ndarray, ...]:
+        single = [
+            site.mask * probs[(site.x_parity ^ (cls & 1)) + 2 * (site.z_parity ^ (cls >> 1))]
+            for cls in range(4)
+        ]
+        out = []
+        for cls in range(4):
+            t = np.concatenate([single[cls], single[cls ^ 2]], axis=3) if last else single[cls]
+            stored = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
+            stored.setflags(write=False)
+            out.append(stored.transpose(0, 2, 1, 3))
+        return tuple(out)
+
+    tables = tuple(
+        tuple(variants(site, c == layout.cols - 1) for site in col)
+        for c, col in enumerate(layout.columns)
+    )
+    qubits = np.array([site.qubit for col in layout.columns for site in col])
+    return qubits, tables
 
 
 def build_coset_network(
@@ -181,28 +215,61 @@ def build_coset_network(
     Columns 1..k-1 belong to ``rep``.  The last column carries two closings
     stacked along its right bond: index 0 for ``rep`` and index 1 for ``rep``
     times Z on every qubit of column k.  Contracting the result gives, per
-    closing, the sum of prob(P * S) over all stabilizers S.
+    closing, the sum of prob(P * S) over all stabilizers S.  The tensors are
+    shared read-only views of the tables cached per code and model.
     """
-    layout = network_layout(code)
-    probs = model.class_probs
-    columns = [[_site_tensor(site, probs, rep) for site in col] for col in layout.columns]
-    columns[-1] = [
-        np.concatenate([t, _site_tensor(site, probs, rep, z_flip=1)], axis=3)
-        for t, site in zip(columns[-1], layout.columns[-1])
-    ]
-    return columns
+    qubits, tables = _site_tables(code, model)
+    classes = iter((rep.x_bits[qubits] + 2 * rep.z_bits[qubits]).tolist())
+    return [[variants[next(classes)] for variants in col] for col in tables]
+
+
+_geqrf, _orgqr, _gesdd, _gesvd = scipy.linalg.lapack.get_lapack_funcs(
+    ("geqrf", "orgqr", "gesdd", "gesvd"), dtype=np.float64
+)
+
+
+def _raise_if_illegal(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(f"LAPACK {routine}: illegal value in argument {-info}")
+
+
+@lru_cache(maxsize=None)
+def _upper_mask(k: int, n: int) -> np.ndarray:
+    mask = np.triu(np.ones((k, n)))
+    mask.setflags(write=False)
+    return mask
+
+
+def _qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR by LAPACK geqrf + orgqr: Q (rows, k) with orthonormal columns,
+    R (k, cols) upper triangular, k = min(rows, cols).  Q is Fortran-ordered."""
+    qr, tau, _, info = _geqrf(m)
+    _raise_if_illegal("geqrf", info)
+    k = tau.size
+    r = qr[:k] * _upper_mask(k, m.shape[1])
+    q, _, info = _orgqr(qr[:, :k], tau, overwrite_a=1)
+    _raise_if_illegal("orgqr", info)
+    return q, r
 
 
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    try:
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesdd")
-    except np.linalg.LinAlgError:
-        try:
-            return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-        except np.linalg.LinAlgError as exc:
+    """Thin SVD by LAPACK gesdd, or gesvd where gesdd does not converge.
+
+    A block holding infs or NaNs raises ValueError; a block neither driver
+    converges on raises RuntimeError.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError(f"SVD input: a {m.shape} block holds infs or NaNs")
+    u, s, vt, info = _gesdd(m, full_matrices=0)
+    _raise_if_illegal("gesdd", info)
+    if info > 0:
+        u, s, vt, info = _gesvd(m, full_matrices=0)
+        _raise_if_illegal("gesvd", info)
+        if info > 0:
             raise RuntimeError(
                 f"SVD failed to converge for a {m.shape} block under both drivers"
-            ) from exc
+            )
+    return u, s, vt
 
 
 @dataclass
@@ -230,10 +297,11 @@ def initial_boundary(rows: int) -> BoundaryMPS:
 def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
     absorbed = []
     for a, t in zip(mps.tensors, column):
-        b = np.einsum("abl,udlp->aubdp", a, t)
-        absorbed.append(
-            b.reshape(a.shape[0] * t.shape[0], a.shape[1] * t.shape[1], t.shape[3])
-        )
+        u, d, l, p = t.shape
+        # (dl, 1, dr, l) @ (u, l, d*p) broadcasts to (dl, u, dr, d*p): the
+        # absorbed tensor's (left, right, physical) order, with no transpose.
+        b = np.matmul(a[:, None], t.transpose(0, 2, 1, 3).reshape(u, l, d * p))
+        absorbed.append(b.reshape(a.shape[0] * u, a.shape[1] * d, p))
     return absorbed
 
 
@@ -251,10 +319,13 @@ def _compress(
     for r in range(j - 1):
         a = tensors[r]
         dl, dr, p = a.shape
-        q, rmat = np.linalg.qr(a.transpose(0, 2, 1).reshape(dl * p, dr))
+        q, rmat = _qr(a.transpose(0, 2, 1).reshape(dl * p, dr))
         kk = q.shape[1]
-        tensors[r] = q.reshape(dl, p, kk).transpose(0, 2, 1)
-        tensors[r + 1] = np.einsum("ab,bcp->acp", rmat, tensors[r + 1])
+        # Q is Fortran-ordered, so this view copies nothing, and neither
+        # does the reshape that feeds it to the SVD sweep's carry product.
+        tensors[r] = q.T.reshape(kk, dl, p).transpose(1, 0, 2)
+        nxt = tensors[r + 1]
+        tensors[r + 1] = (rmat @ nxt.reshape(dr, -1)).reshape(kk, *nxt.shape[1:])
     for r in range(j - 1, 0, -1):
         a = tensors[r]
         dl, dr, p = a.shape
@@ -274,7 +345,13 @@ def _compress(
                 )
         tensors[r] = vt[:keep].reshape(keep, dr, p)
         carry = u[:, :keep] * svals[:keep]
-        tensors[r - 1] = np.einsum("abp,bc->acp", tensors[r - 1], carry)
+        prev = tensors[r - 1]
+        pl, _, pp = prev.shape
+        tensors[r - 1] = (
+            (prev.transpose(0, 2, 1).reshape(pl * pp, dl) @ carry)
+            .reshape(pl, pp, keep)
+            .transpose(0, 2, 1)
+        )
     norm = float(np.linalg.norm(tensors[0]))
     if norm == 0.0 or not math.isfinite(norm):
         return tensors, 0.0, True

@@ -183,8 +183,19 @@ class TestRun:
             ({"trials": "many"}, "--trials"),
             ({"p": 0.1}, "--p"),
             ({"trials": 2.9}, "--trials must be an integer, got 2.9"),
+            ({"trials": True}, "--trials must be an integer, got True"),
+            ({"p": [True]}, "--p must be a number, got True"),
+            ({"eta": True}, "--eta must be a number, got True"),
         ],
-        ids=["j-not-integer", "trials-not-integer", "p-not-list", "trials-not-integral"],
+        ids=[
+            "j-not-integer",
+            "trials-not-integer",
+            "p-not-list",
+            "trials-not-integral",
+            "trials-boolean",
+            "p-boolean",
+            "eta-boolean",
+        ],
     )
     def test_malformed_config_value_exits_one(self, capsys, tmp_path, config, option):
         base = {"layout": "rotated", "j": 3, "k": 3, "eta": "inf", "decoder": "exact-y",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybias.noise import (
     BiasedNoiseModel,
@@ -92,6 +94,29 @@ class TestSampling:
         classes = sample_error_classes_batch(model, u)
         # p_X = p_Z = 1/12, p_Y = 1/3: cumulative edges 1/2 | 7/12 | 2/3, then Y.
         assert classes.tolist() == [[0, 0, 1, 1, 2, 3, 3]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    eta=st.sampled_from([0.5, 3.0, math.inf]),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    on_edge=st.lists(st.integers(0, 2), max_size=6),
+)
+def test_classes_match_the_searchsorted_reference(eta, p, uniforms, on_edge):
+    """Counting thresholds at or below u gives searchsorted's class, edges included.
+
+    With p_X = p_Z = 0 (pure Y, or p = 0) two or three edges coincide, and a
+    uniform placed exactly on an edge must land above every copy of it.
+    """
+    model = BiasedNoiseModel(p=p, eta=eta)
+    edges = np.cumsum(model.class_probs)[:3]
+    u = np.array(uniforms + [edges[i] for i in on_edge if edges[i] < 1.0], dtype=np.float64)
+    # A strided 2-D block, like the column slice batch_uniforms returns.
+    for block in (u, np.stack([u, u[::-1]])[:, ::2]):
+        got = sample_error_classes_batch(model, block)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.searchsorted(edges, block, side="right"))
 
 
 class TestDeterminism:

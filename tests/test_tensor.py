@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
+from ybias import tensor
 from ybias.codes import build_rotated_code, build_standard_code, rotated_face_included, syndrome
 from ybias.decoders import candidate_recovery, logical_class_representatives
 from ybias.noise import BiasedNoiseModel, sample_error
@@ -259,3 +263,130 @@ class TestContractionMechanics:
         mps = BoundaryMPS([np.ones((1, 1, 1))] * 2, is_zero=True)
         out = apply_and_truncate(mps, [np.ones((1, 1, 1, 1))] * 2, 4)
         assert out.is_zero
+
+
+class TestLapackKernels:
+    """The bare LAPACK wrappers behind the QR and SVD sweeps."""
+
+    @pytest.mark.parametrize(
+        "shape,rank",
+        [((9, 4), 4), ((5, 5), 5), ((3, 8), 3), ((1, 1), 1), ((8, 6), 2), ((4, 7), 1)],
+        ids=["tall", "square", "wide", "1x1", "tall-rank-2", "wide-rank-1"],
+    )
+    def test_qr_factors(self, shape, rank):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        q, r = tensor._qr(a)
+        k = min(shape)
+        assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+        np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-12 * np.abs(a).max())
+        np.testing.assert_allclose(q.T @ q, np.eye(k), rtol=0, atol=1e-12)
+        assert not np.tril(r, -1).any()
+
+    def test_qr_leaves_its_input_alone(self):
+        a = np.asfortranarray(np.random.default_rng(6).standard_normal((6, 3)))
+        before = a.copy()
+        tensor._qr(a)
+        assert np.array_equal(a, before)
+
+    def test_svd_matches_scipy(self):
+        a = np.random.default_rng(7).standard_normal((6, 9))
+        u, s, vt = tensor._svd(a)
+        _, ref_s, _ = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
+        np.testing.assert_allclose(s, ref_s, rtol=1e-14)
+        np.testing.assert_allclose((u * s) @ vt, a, rtol=0, atol=1e-12)
+
+    def test_svd_falls_back_to_gesvd(self, monkeypatch):
+        a = np.random.default_rng(8).standard_normal((7, 4))
+        monkeypatch.setattr(tensor, "_gesdd", lambda m, **kw: (None, None, None, 1))
+        got = tensor._svd(a)
+        expected = tensor._gesvd(a, full_matrices=0)[:3]
+        for x, y in zip(got, expected):
+            assert np.array_equal(x, y)
+
+    def test_svd_raises_when_both_drivers_fail(self, monkeypatch):
+        a = np.random.default_rng(9).standard_normal((7, 4))
+        for name in ("_gesdd", "_gesvd"):
+            monkeypatch.setattr(tensor, name, lambda m, **kw: (None, None, None, 2))
+        with pytest.raises(RuntimeError, match=r"\(7, 4\) block"):
+            tensor._svd(a)
+
+    def test_svd_illegal_argument_raises(self, monkeypatch):
+        a = np.ones((3, 3))
+        monkeypatch.setattr(tensor, "_gesdd", lambda m, **kw: (None, None, None, -4))
+        with pytest.raises(ValueError, match="gesdd"):
+            tensor._svd(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_raises(self, bad):
+        a = np.ones((4, 5))
+        a[2, 3] = bad
+        with pytest.raises(ValueError):
+            tensor._svd(a)
+
+
+def _dense(tensors: list[np.ndarray]) -> np.ndarray:
+    """The state an open-ended MPS chain encodes, as one vector over its physical indices."""
+    out = np.ones((1, 1))
+    for t in tensors:
+        out = np.einsum("xa,abp->xpb", out, t).reshape(-1, t.shape[1])
+    return out[:, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    distance=st.sampled_from([3, 5]),
+    eta=st.sampled_from([0.5, 3.0, math.inf]),
+    p=st.floats(0.01, 0.4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compression_without_truncation_keeps_the_state(distance, eta, p, seed):
+    """With chi above every bond, compressing only re-gauges and rescales.
+
+    After each column the dense state equals that of the uncompressed
+    absorbed chain, and every tensor right of the first is right-orthonormal.
+    """
+    code = build_rotated_code(distance, distance)
+    model = BiasedNoiseModel(p=p, eta=eta)
+    rep = sample_error(model, code.n, np.random.default_rng(seed))
+    columns = build_coset_network(code, model, rep)
+    mps = initial_boundary(code.j)
+    for col in columns[:-1]:
+        exact = _dense(tensor._absorb(mps, col))
+        nxt = apply_and_truncate(mps, col, 4**distance)
+        assert not nxt.is_zero
+        got = _dense(nxt.tensors) * math.exp(nxt.log_norm - mps.log_norm)
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+        for t in nxt.tensors[1:]:
+            m = t.reshape(t.shape[0], -1)
+            np.testing.assert_allclose(m @ m.T, np.eye(m.shape[0]), rtol=0, atol=1e-12)
+        mps = nxt
+
+
+def test_truncation_stats_match_scipy_svd(monkeypatch):
+    """The gesdd wrapper reports the same truncation stats as scipy.linalg.svd.
+
+    At d = 9 no bond exceeds 2^4 = 16, so chi = 8 is needed to truncate.
+    """
+    code = build_rotated_code(9, 9)
+    model = BiasedNoiseModel(p=0.19, eta=0.5)
+    rep = sample_error(model, code.n, np.random.default_rng(31))
+    columns = build_coset_network(code, model, rep)
+    stats: dict = {}
+    contract_columns(columns, 8, stats)
+    monkeypatch.setattr(
+        tensor,
+        "_svd",
+        lambda m: scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesdd"),
+    )
+    reference: dict = {}
+    contract_columns(columns, 8, reference)
+    assert stats.keys() == reference.keys() == {
+        "max_bond_dim",
+        "max_rank2_ratio",
+        "discarded_weight",
+    }
+    assert stats["max_bond_dim"] == reference["max_bond_dim"] == 8
+    assert reference["discarded_weight"] > 0.0
+    for key in ("max_rank2_ratio", "discarded_weight"):
+        assert stats[key] == pytest.approx(reference[key], rel=1e-12)
