@@ -5,8 +5,10 @@ construction order) and return a :class:`DecodeOutcome`.  Success is always
 judged externally by whether recovery * error lies in the stabilizer group;
 decoders report argmax classes relative to their own candidate recovery.
 
-Tie-breaking is deterministic everywhere: coset ties prefer I, then X, Y, Z
-(or I over L for pure-Y decoding); vote ties in the repetition and cycle
+Tie-breaking is deterministic everywhere: coset log-scores within 1e-9 of
+each other are tied, and ties prefer I, then X, Y, Z, so a verdict never
+follows the rounding of cosets equal in exact arithmetic (pure-Y decoding
+prefers I over L on an exact tie); vote ties in the repetition and cycle
 decoders resolve to "no flip".
 """
 
@@ -68,14 +70,19 @@ class DecodeOutcome:
     coset_scores: dict[str, float] | None = None
 
 
+# Log-scores this close are one tie: cosets that are equal in exact
+# arithmetic differ by rounding (seen up to ~1e-13), never by this much.
+_TIE_TOLERANCE = 1e-9
+
+
 def _argmax_class(scores: Mapping[str, float], order: Iterable[str]) -> str:
+    """The first label in ``order`` whose score is within the tie tolerance of the best.
+
+    A -inf score never ties with a finite one.
+    """
     order = tuple(order)
-    best = order[0]
-    best_score = scores[best]
-    for label in order[1:]:
-        if scores[label] > best_score:
-            best, best_score = label, scores[label]
-    return best
+    best = max(scores[label] for label in order)
+    return next(label for label in order if scores[label] >= best - _TIE_TOLERANCE)
 
 
 def logical_class_representatives(code: StabilizerCode) -> dict[str, PauliOperator]:
@@ -593,6 +600,10 @@ def mps_decode_rotated(
     X and Y from f * Xbar.  The labels are the same logical classes relative
     to f as the code's own representatives, and the recovery is
     ``f * reps[verdict]``.
+
+    Where chi >= 2^floor(j/2) for a code of j rows no bond could truncate:
+    each sweep contracts the boundary exactly as one dense vector, and the
+    decoder is exact maximum likelihood.
     """
     if code.layout != "rotated":
         raise ValueError("mps_decode_rotated requires a rotated-layout code")
@@ -609,6 +620,12 @@ def mps_decode_rotated(
 
 
 class MpsDecoder:
+    """Approximate ML decoder by boundary-MPS contraction (rotated layout).
+
+    Exact maximum likelihood, by dense contraction, where chi >= 2^floor(j/2);
+    see :func:`mps_decode_rotated`.
+    """
+
     name = "mps"
 
     def __init__(self, code: StabilizerCode, model: BiasedNoiseModel, chi: int):

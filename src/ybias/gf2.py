@@ -197,12 +197,13 @@ class Gf2Solver:
         return matmul_mod2(B, self.solution_matrix.T)
 
     def reduce_rowspace_batch(self, V: np.ndarray) -> np.ndarray:
-        """Reduce vectors by the RREF rows; zero rows are exactly the row-space members."""
+        """Reduce vectors by the RREF rows; zero rows are exactly the row-space members.
+
+        Each RREF row is zero in every other pivot column, so eliminating the
+        pivots one by one adds exactly the rows picked by the input's own
+        pivot bits: one product.
+        """
         if V.ndim != 2 or V.shape[1] != self.cols:
             raise ValueError(f"expected shape (count, {self.cols}), got {V.shape}")
-        out = V.astype(np.uint8).copy()
-        for i, c in enumerate(self.pivots):
-            hit = out[:, c] == 1
-            if hit.any():
-                out[hit] ^= self._reduced_rows[i]
-        return out
+        V = V.astype(np.uint8, copy=False)
+        return V ^ matmul_mod2(V[:, self.pivots], self._reduced_rows)

@@ -13,13 +13,22 @@ bonds transport the face variables between neighbours:
 With this routing every face's support forms a tree inside the bond graph,
 so contracting the network sums each stabilizer subset exactly once and the
 result equals the total probability of the coset of the reference Pauli.
-Columns are absorbed left to right into a boundary MPS that is compressed
-to bond dimension chi after every column (QR sweep, then SVD truncation).
-Absorption and the carries between sites are BLAS matrix products on
-reshaped views, and the sweeps call LAPACK ``geqrf``/``orgqr`` and ``gesdd``
-directly, because at these block sizes (at most a few dozen rows) the
-generic ``np.linalg.qr``/``scipy.linalg.svd`` wrappers cost more than the
-arithmetic.
+Columns are absorbed left to right into a boundary state over the rows'
+horizontal bonds.  At the cut below row r of a j-row boundary no bond can
+exceed 2^min(r, j-r), so ``contract_columns`` picks one of two regimes from
+j and chi alone:
+
+* chi >= 2^floor(j/2): truncation could never drop a singular value, so the
+  boundary is contracted exactly as one merged site holding all 2^j
+  amplitudes.  Each row of a column is one small matrix product against
+  that vector, and the result is the exact coset probability.
+* chi < 2^floor(j/2): the boundary is an MPS that is compressed to bond
+  dimension chi after every column (QR sweep, then SVD truncation).
+  Absorption and the carries between sites are BLAS matrix products on
+  reshaped views, and the sweeps call LAPACK ``geqrf``/``orgqr`` and
+  ``gesdd`` directly, because at these block sizes (at most a few dozen
+  rows) the generic ``np.linalg.qr``/``scipy.linalg.svd`` wrappers cost
+  more than the arithmetic.
 
 One sweep serves two cosets.  Z on every qubit of the last column k is a
 logical Z: it differs from the column-1 string ``code.logical_z`` by the
@@ -276,8 +285,11 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class BoundaryMPS:
     """Chain of (left-bond, right-bond, physical) tensors with pulled-out scale.
 
-    ``log_norm`` accumulates the factors removed by compression;
-    ``is_zero`` marks an exactly vanishing state (log value -inf).
+    A chain of one (1, 1, P) tensor is the merged boundary of the exact
+    regime: its P entries are the amplitudes of every joint index of the
+    rows' physical bonds, row 1 most significant.  ``log_norm`` accumulates
+    the factors removed by compression; ``is_zero`` marks an exactly
+    vanishing state (log value -inf).
     """
 
     tensors: list[np.ndarray]
@@ -294,6 +306,11 @@ def initial_boundary(rows: int) -> BoundaryMPS:
     return BoundaryMPS([np.ones((1, 1, 1)) for _ in range(rows)])
 
 
+def _is_exact(rows: int, chi: int) -> bool:
+    """True when no bond of a ``rows``-site boundary can exceed chi."""
+    return 2 ** (rows // 2) <= chi
+
+
 def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
     absorbed = []
     for a, t in zip(mps.tensors, column):
@@ -303,6 +320,39 @@ def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
         b = np.matmul(a[:, None], t.transpose(0, 2, 1, 3).reshape(u, l, d * p))
         absorbed.append(b.reshape(a.shape[0] * u, a.shape[1] * d, p))
     return absorbed
+
+
+def _absorb_merged(state: np.ndarray, column: list[np.ndarray]) -> np.ndarray:
+    """Absorb one column into the merged boundary vector, one row at a time.
+
+    Before row r the vector is laid out (new physical indices of rows 1..r-1,
+    vertical bond above row r, old physical indices of rows r..j).  The site
+    tensor, as a (p*d, u*l) matrix, maps the middle (u, l) pair to (p, d) in
+    place, which is the same layout one row further down, so the vector is
+    never transposed.  Returns the new vector over the rows' right bonds.
+    """
+    lead = 1
+    for t in column:
+        u, d, l, p = t.shape
+        m = t.transpose(3, 1, 0, 2).reshape(p * d, u * l)
+        x = state.reshape(lead, u * l, -1)
+        # One trailing entry makes the stacked product a single plain one.
+        state = x[:, :, 0] @ m.T if x.shape[2] == 1 else np.matmul(m, x)
+        lead *= p
+    return state.reshape(-1)
+
+
+def _record_cut(stats: dict, svals: np.ndarray, keep: int) -> None:
+    """Fold one cut's singular values (largest first, the first positive) into ``stats``."""
+    weights = svals * svals
+    stats["max_bond_dim"] = max(stats.get("max_bond_dim", 0), keep)
+    stats["discarded_weight"] = max(
+        stats.get("discarded_weight", 0.0), float(weights[keep:].sum() / weights.sum())
+    )
+    if svals.size >= 2:
+        stats["max_rank2_ratio"] = max(
+            stats.get("max_rank2_ratio", 0.0), float(svals[1] / svals[0])
+        )
 
 
 def _compress(
@@ -334,15 +384,7 @@ def _compress(
             return tensors, 0.0, True
         keep = min(chi, svals.size)
         if stats is not None:
-            weights = svals * svals
-            stats["max_bond_dim"] = max(stats.get("max_bond_dim", 0), keep)
-            stats["discarded_weight"] = max(
-                stats.get("discarded_weight", 0.0), float(weights[keep:].sum() / weights.sum())
-            )
-            if svals.size >= 2:
-                stats["max_rank2_ratio"] = max(
-                    stats.get("max_rank2_ratio", 0.0), float(svals[1] / svals[0])
-                )
+            _record_cut(stats, svals, keep)
         tensors[r] = vt[:keep].reshape(keep, dr, p)
         carry = u[:, :keep] * svals[:keep]
         prev = tensors[r - 1]
@@ -359,14 +401,49 @@ def _compress(
     return tensors, math.log(norm), False
 
 
+def _apply_merged(
+    mps: BoundaryMPS, column: list[np.ndarray], stats: dict | None
+) -> BoundaryMPS:
+    """Absorb one column into the merged boundary exactly and pull out its norm.
+
+    With ``stats`` given, records what an untruncated MPS would: at every
+    cut the singular values of the vector reshaped to (rows above, rows
+    below), with ``discarded_weight`` 0.0.
+    """
+    state = _absorb_merged(mps.tensors[0], column)
+    norm = float(np.linalg.norm(state))
+    if not math.isfinite(norm):
+        raise ValueError("boundary state holds infs or NaNs")
+    if norm == 0.0:
+        return BoundaryMPS([state.reshape(1, 1, -1)], mps.log_norm, True)
+    state /= norm
+    if stats is not None:
+        above = 1
+        for t in column[:-1]:
+            above *= t.shape[3]
+            svals = np.linalg.svd(state.reshape(above, -1), compute_uv=False)
+            _record_cut(stats, svals, svals.size)
+    return BoundaryMPS([state.reshape(1, 1, -1)], mps.log_norm + math.log(norm), False)
+
+
 def apply_and_truncate(
     mps: BoundaryMPS, column: list[np.ndarray], chi: int, stats: dict | None = None
 ) -> BoundaryMPS:
-    """Absorb one column of site tensors, then compress to bond dimension chi."""
+    """Absorb one column of site tensors, then compress to bond dimension chi.
+
+    A merged boundary (one site) is exact and stays merged; it is only valid
+    where chi could never truncate.
+    """
     if chi < 1:
         raise ValueError(f"chi must be >= 1, got {chi}")
     if mps.is_zero:
         return mps
+    if len(mps.tensors) == 1:
+        if not _is_exact(len(column), chi):
+            raise ValueError(
+                f"a merged {len(column)}-row boundary is exact; chi={chi} would truncate"
+            )
+        return _apply_merged(mps, column, stats)
     tensors, factor, is_zero = _compress(_absorb(mps, column), chi, stats)
     if is_zero:
         return BoundaryMPS(tensors, mps.log_norm, True)
@@ -383,12 +460,20 @@ def _close(mps: BoundaryMPS, column: list[np.ndarray]) -> np.ndarray:
     out = np.full(column[0].shape[3], -np.inf)
     if mps.is_zero:
         return out
-    absorbed = _absorb(mps, column)
-    for i in range(out.size):
-        m = np.eye(1)
-        for t in absorbed:
-            m = m @ t[:, :, i]
-        value = float(m[0, 0])
+    if len(mps.tensors) == 1:
+        # Closing i is the entry whose every row index is i.
+        state = _absorb_merged(mps.tensors[0], column)
+        values = state[np.arange(out.size) * sum(out.size**r for r in range(len(column)))]
+    else:
+        absorbed = _absorb(mps, column)
+        values = []
+        for i in range(out.size):
+            m = np.eye(1)
+            for t in absorbed:
+                m = m @ t[:, :, i]
+            values.append(m[0, 0])
+    for i, value in enumerate(values):
+        value = float(value)
         if value > 0.0 and math.isfinite(value):
             out[i] = mps.log_norm + math.log(value)
     return out
@@ -399,11 +484,14 @@ def contract_columns(
 ) -> np.ndarray:
     """Contract a column list to one log value per closing; -inf where it vanishes.
 
-    The boundary MPS is compressed to bond dimension chi after each column
-    except the last, which is closed by a direct matrix chain once per index
-    of its right bond.
+    Where chi >= 2^floor(rows/2) the boundary is one merged site and every
+    column is absorbed exactly.  Otherwise the boundary MPS is compressed to
+    bond dimension chi after each column.  Either way every column but the
+    last goes through ``apply_and_truncate``, and the last is closed once per
+    index of its right bond.
     """
-    mps = initial_boundary(len(columns[0]))
+    rows = len(columns[0])
+    mps = BoundaryMPS([np.ones((1, 1, 1))]) if _is_exact(rows, chi) else initial_boundary(rows)
     for col in columns[:-1]:
         mps = apply_and_truncate(mps, col, chi, stats)
         if mps.is_zero:

@@ -115,6 +115,23 @@ def split_y_span(code: StabilizerCode) -> tuple[list[np.ndarray], list[np.ndarra
     return stabs, logicals
 
 
+def mps_chain_scores(
+    columns: list[list[np.ndarray]], chi: int, stats: dict | None = None
+) -> np.ndarray:
+    """Closing log values of a coset network by the boundary-MPS chain at any chi.
+
+    Calls ``initial_boundary``, ``apply_and_truncate`` and ``_close``
+    directly, so the QR/SVD path runs even where ``contract_columns`` would
+    contract the boundary as one merged site.
+    """
+    from ybias import tensor
+
+    mps = tensor.initial_boundary(len(columns[0]))
+    for col in columns[:-1]:
+        mps = tensor.apply_and_truncate(mps, col, chi, stats)
+    return tensor._close(mps, columns[-1])
+
+
 def sample_syndromes(code: StabilizerCode, model: BiasedNoiseModel, rng, count: int) -> np.ndarray:
     """Syndromes of `count` errors drawn from the model (may repeat)."""
     return np.stack([syndrome(code, sample_error(model, code.n, rng)) for _ in range(count)])

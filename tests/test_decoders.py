@@ -18,6 +18,7 @@ from ybias.decoders import (
     ExactYDecoder,
     MpsDecoder,
     UnattainableSyndromeError,
+    _argmax_class,
     brute_force_ml_decode,
     candidate_recovery,
     concatenated_y_decode,
@@ -536,6 +537,27 @@ class TestMps:
                 else:
                     assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "distance,chi,perturbation", [(3, 64, "chain"), (5, 4, "chain"), (5, 2, "gesvd")]
+    )
+    def test_verdicts_do_not_follow_rounding(self, distance, chi, perturbation, monkeypatch):
+        """Depolarizing noise makes some cosets equal in exact arithmetic.
+
+        Contracting them along another rounding path (the MPS chain instead
+        of the merged boundary, or the gesvd SVD driver instead of gesdd)
+        moves their scores by ~1e-14 and must change no verdict.
+        """
+        code = build_rotated_code(distance, distance)
+        model = BiasedNoiseModel(p=0.19, eta=0.5)
+        rng = np.random.default_rng(83)
+        syndromes = [syndrome(code, sample_error(model, code.n, rng)) for _ in range(200)]
+        before = [mps_decode_rotated(code, model, s, chi).verdict for s in syndromes]
+        if perturbation == "chain":
+            monkeypatch.setattr(tensor, "_is_exact", lambda rows, chi: False)
+        else:
+            monkeypatch.setattr(tensor, "_gesdd", tensor._gesvd)
+        assert [mps_decode_rotated(code, model, s, chi).verdict for s in syndromes] == before
+
     def test_recovery_syndrome_invariant(self):
         code = build_rotated_code(5, 5)
         model = BiasedNoiseModel(p=0.12, eta=2.0)
@@ -593,6 +615,20 @@ class TestDecoderRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             decoder_from_name("nope", build_rotated_code(3, 3), PURE_Y(0.1))
+
+
+@pytest.mark.parametrize(
+    "scores,verdict",
+    [
+        ({"I": -5.0, "X": -5.0 + 5e-10, "Y": -7.0, "Z": -9.0}, "I"),  # tie: class order
+        ({"I": -5.0, "X": -5.0 + 2e-9, "Y": -7.0, "Z": -9.0}, "X"),  # beyond the tolerance
+        ({"I": -9.0, "X": -6.0, "Y": -6.0 - 1e-12, "Z": -6.0 + 1e-12}, "X"),
+        ({"I": -np.inf, "X": -np.inf, "Y": -800.0, "Z": -np.inf}, "Y"),  # -inf never ties
+        ({"I": -np.inf, "X": -np.inf, "Y": -np.inf, "Z": -np.inf}, "I"),
+    ],
+)
+def test_near_equal_coset_scores_tie_in_class_order(scores, verdict):
+    assert _argmax_class(scores, ("I", "X", "Y", "Z")) == verdict
 
 
 def test_outcome_is_frozen():

@@ -130,6 +130,39 @@ def test_rowspace_reduction_flags_members(m, data):
     assert (not reduced.any()) == in_rowspace(m, v)
 
 
+def _pivot_loop_reduce(solver, V):
+    """Reference reducer: eliminate one pivot column at a time."""
+    out = V.copy()
+    for row, c in zip(solver._reduced_rows, solver.pivots):
+        out[out[:, c] == 1] ^= row
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices, st.data())
+def test_rowspace_reduction_matches_the_pivot_loop(m, data):
+    """The one-product reducer equals eliminating pivot by pivot.
+
+    The batch mixes arbitrary rows, row-space members and zero rows.
+    """
+    solver = Gf2Solver(m)
+    rows, cols = m.shape
+
+    def bits(width):
+        count = data.draw(st.integers(0, 6))
+        return data.draw(arrays(np.uint8, (count, width), elements=st.integers(0, 1)))
+
+    coeffs, free = bits(rows), bits(cols)
+    zeros = np.zeros((data.draw(st.integers(0, 2)), cols), dtype=np.uint8)
+    V = np.vstack([matmul_mod2(coeffs, m), free, zeros])
+    reduced = solver.reduce_rowspace_batch(V)
+    assert reduced.dtype == np.uint8
+    assert np.array_equal(reduced, _pivot_loop_reduce(solver, V))
+    assert not reduced[: coeffs.shape[0]].any()
+    for v, r in zip(V, reduced):
+        assert (not r.any()) == in_rowspace(m, v)
+
+
 @st.composite
 def product_operands(draw):
     rows = draw(st.integers(0, 9))

@@ -390,3 +390,86 @@ def test_truncation_stats_match_scipy_svd(monkeypatch):
     assert reference["discarded_weight"] > 0.0
     for key in ("max_rank2_ratio", "discarded_weight"):
         assert stats[key] == pytest.approx(reference[key], rel=1e-12)
+
+
+def _exact_chi(code) -> int:
+    """The smallest chi at which contract_columns merges the boundary."""
+    return 2 ** (code.j // 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 3), (5, 5), (7, 7), (9, 9), (5, 7), (7, 5)]),
+    eta=st.sampled_from([0.5, 3.0, math.inf]),
+    p=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_boundary_matches_the_mps_chain(shape, eta, p, seed):
+    """At chi = 2^floor(j/2) the merged contraction equals the untruncated chain.
+
+    Both are exact there, so closings within 10 log-units of the dominant
+    one agree to rounding; the others are zero in exact arithmetic and may
+    only differ as residues at least 10 below the dominant score (or -inf).
+    """
+    code = build_rotated_code(*shape)
+    model = BiasedNoiseModel(p=p, eta=eta)
+    rep = sample_error(model, code.n, np.random.default_rng(seed))
+    columns = build_coset_network(code, model, rep)
+    chi = _exact_chi(code)
+    merged = contract_columns(columns, chi)
+    chain = support.mps_chain_scores(columns, chi)
+    dominant = max(merged.max(), chain.max())
+    assert math.isfinite(dominant)
+    for a, b in zip(merged, chain):
+        if max(a, b) >= dominant - 10.0:
+            assert math.isclose(a, b, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("distance", [5, 9])
+def test_merged_boundary_stats_match_the_mps_chain(distance):
+    code = build_rotated_code(distance, distance)
+    model = BiasedNoiseModel(p=0.19, eta=0.5)
+    rep = sample_error(model, code.n, np.random.default_rng(37))
+    columns = build_coset_network(code, model, rep)
+    chi = _exact_chi(code)
+    merged: dict = {}
+    chain: dict = {}
+    scores = contract_columns(columns, chi, merged)
+    support.mps_chain_scores(columns, chi, chain)
+    assert merged.keys() == chain.keys() == {"max_bond_dim", "max_rank2_ratio", "discarded_weight"}
+    assert merged["max_bond_dim"] == chain["max_bond_dim"] == chi
+    assert merged["discarded_weight"] == chain["discarded_weight"] == 0.0
+    assert merged["max_rank2_ratio"] == pytest.approx(chain["max_rank2_ratio"], rel=1e-9)
+    # The stats are read off the state, never fed back into it.
+    assert np.array_equal(scores, contract_columns(columns, chi))
+
+
+def test_regime_is_chosen_from_rows_and_chi(monkeypatch):
+    """9 rows: chi = 16 never reaches QR or SVD, chi = 15 needs both."""
+    code = build_rotated_code(9, 9)
+    model = BiasedNoiseModel(p=0.19, eta=0.5)
+    columns = build_coset_network(code, model, PauliOperator.identity(code.n))
+
+    def forbidden(m):
+        raise AssertionError("QR/SVD sweep reached")
+
+    monkeypatch.setattr(tensor, "_qr", forbidden)
+    monkeypatch.setattr(tensor, "_svd", forbidden)
+    assert np.isfinite(contract_columns(columns, 16)).all()
+    with pytest.raises(AssertionError, match="sweep reached"):
+        contract_columns(columns, 15)
+    # A merged boundary refuses a chi it could not honour.
+    with pytest.raises(ValueError, match="would truncate"):
+        apply_and_truncate(BoundaryMPS([np.ones((1, 1, 1))]), columns[0], 15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_site_raises_in_the_merged_boundary(bad):
+    code = build_rotated_code(5, 5)
+    model = BiasedNoiseModel(p=0.15, eta=0.5)
+    columns = build_coset_network(code, model, PauliOperator.identity(code.n))
+    site = columns[1][2].copy()
+    site[0, 0, 0, 0] = bad
+    columns[1][2] = site
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        contract_columns(columns, 64)
