@@ -491,7 +491,7 @@ def contract_columns(
     index of its right bond.
     """
     rows = len(columns[0])
-    mps = BoundaryMPS([np.ones((1, 1, 1))]) if _is_exact(rows, chi) else initial_boundary(rows)
+    mps = initial_boundary(1 if _is_exact(rows, chi) else rows)  # one site: merged
     for col in columns[:-1]:
         mps = apply_and_truncate(mps, col, chi, stats)
         if mps.is_zero:
