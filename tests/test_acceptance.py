@@ -422,7 +422,7 @@ def test_criterion_11():
 # deliberate output change updates its digest and says so in CHANGES.md.
 # MPS verdicts break near-ties (within 1e-9) by class order, so the
 # biased-threshold text does not follow rounding: it is unchanged when the
-# SVD driver is swapped from gesdd to gesvd.
+# SVD routine is swapped from gesdd to gesvd.
 PINNED_PIPELINES = {
     "cycle_decoder_benchmark": (
         "79b1c2e864f9b91e5eef5d293de1ff01f5c59ae36752fb3a6178eb8b521befed",

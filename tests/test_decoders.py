@@ -544,7 +544,7 @@ class TestMps:
         """Depolarizing noise makes some cosets equal in exact arithmetic.
 
         Contracting them along another rounding path (the MPS chain instead
-        of the merged boundary, or the gesvd SVD driver instead of gesdd)
+        of the merged boundary, or the gesvd SVD routine instead of gesdd)
         moves their scores by ~1e-14 and must change no verdict.
         """
         code = build_rotated_code(distance, distance)
