@@ -370,6 +370,8 @@ def convergence_cmd(
     out = _merge(out, config, "out")
     if len(chis) < 2:
         raise ConfigError(f"need >= 2 chi values, got {chis}")
+    if min(chis) < 1:
+        raise ConfigError(f"--chis must be >= 1, got {min(chis)}")
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
     try:

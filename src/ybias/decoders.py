@@ -398,39 +398,38 @@ class _ConcatenatedTools:
         rows = [functional(unit(q)) for q in self.boundary]
         self.u_boundary = np.array(rows, dtype=np.uint8).reshape(len(rows), code.num_checks)
 
-        # In-block relative bits against each block's reference qubit.
-        self.block_members: list[np.ndarray] = []
-        self.block_refs: list[int] = []
-        rel_rows = []
-        self.rel_slices: list[tuple[int, int]] = []
-        pos = 0
-        for _, members in structure.repetition_blocks:
-            members = np.array(members, dtype=np.int64)
-            ref = int(members[0])
-            self.block_members.append(members)
-            self.block_refs.append(ref)
-            for q in members[1:]:
-                rel_rows.append(functional(unit(ref) ^ unit(int(q))))
-            self.rel_slices.append((pos, pos + len(members) - 1))
-            pos += len(members) - 1
-        self.u_rel = np.array(rel_rows, dtype=np.uint8).reshape(pos, code.num_checks)
+        # In-block relative bits against each block's reference qubit (its
+        # first member).  Row 0 of u_rel is zero: the reference's own bit.
+        blocks = [members for _, members in structure.repetition_blocks]
+        rel_rows = [np.zeros(code.num_checks, dtype=np.uint8)]
+        first_rel = []
+        for members in blocks:
+            first_rel.append(len(rel_rows))
+            rel_rows.extend(functional(unit(members[0]) ^ unit(q)) for q in members[1:])
+        self.u_rel = np.array(rel_rows, dtype=np.uint8)
 
         # One parity bit per triangle of K_{g+1}, over block reference qubits.
         edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
-        self.block_of_edge = np.array(
-            [edge_to_block[e] for e in self.cycle.edges], dtype=np.int64
-        )
+        block_of_edge = [edge_to_block[e] for e in self.cycle.edges]
         tri_rows = []
         for a, b, c in self.cycle.triangles:
             target = np.zeros(code.n, dtype=np.uint8)
             for e in ((a, b), (b, c), (a, c)):
-                target ^= unit(self.block_refs[edge_to_block[e]])
+                target ^= unit(blocks[edge_to_block[e]][0])
             tri_rows.append(functional(target))
         self.u_tri = np.array(tri_rows, dtype=np.uint8).reshape(len(tri_rows), code.num_checks)
 
-        self.block_lengths = np.array(
-            [len(self.block_members[b]) for b in self.block_of_edge], dtype=np.int64
+        # Every block member, edge by edge: its qubit, its edge, and its row
+        # of u_rel.  A one-member block holds only its reference (row 0).
+        members = [
+            (q, e, first_rel[b] + i - 1 if i else 0)
+            for e, b in enumerate(block_of_edge)
+            for i, q in enumerate(blocks[b])
+        ]
+        self.member_qubit, self.member_edge, self.member_rel = (
+            np.array(column, dtype=np.int64) for column in zip(*members)
         )
+        self.block_lengths = np.bincount(self.member_edge, minlength=len(block_of_edge))
         verts = ((np.arange(2**g, dtype=np.uint32)[:, None] >> np.arange(g)) & 1).astype(np.uint8)
         verts = np.hstack([np.zeros((2**g, 1), dtype=np.uint8), verts])
         self.cuts = np.stack(
@@ -475,21 +474,19 @@ def concatenated_y_decode(
     if base is None:
         raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
 
-    block_w = np.array(
-        [int(rel_bits[a:b].sum()) for a, b in tools.rel_slices], dtype=np.int64
-    )
-    w_edge = block_w[tools.block_of_edge]
+    member_bits = rel_bits[tools.member_rel]
+    # Per edge, the weight of its block's relative pattern (a small integer,
+    # so the float sum is exact).
+    w_edge = np.bincount(
+        tools.member_edge, weights=member_bits, minlength=tools.block_lengths.size
+    ).astype(np.int64)
     candidates = base[None, :] ^ tools.cuts
     costs = candidates.astype(np.int64) @ (tools.block_lengths - 2 * w_edge) + w_edge.sum()
     best = candidates[int(np.argmin(costs))]
 
     y = np.zeros(code.n, dtype=np.uint8)
     y[tools.boundary] = boundary_bits
-    for edge_idx, block_idx in enumerate(tools.block_of_edge):
-        members = tools.block_members[block_idx]
-        a, b = tools.rel_slices[block_idx]
-        bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]
-        y[members] = bits
+    y[tools.member_qubit] = member_bits ^ best[tools.member_edge]
     if not np.array_equal(matmul_mod2(code.y_checks, y), s):
         raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
     return DecodeOutcome(PauliOperator.y_type(y), None, None)

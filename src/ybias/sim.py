@@ -253,11 +253,11 @@ def convergence_study(
     if len(chis) < 2:
         raise ValueError("convergence_study needs at least two chi values")
     chi_max = max(chis)
+    # Every decoder is built, and so every chi checked, before any decoding.
+    decoders = {chi: MpsDecoder(code, model, chi) for chi in dict.fromkeys(chis)}
     results = {
-        chi: estimate_failure_rate(
-            code, MpsDecoder(code, model, chi), model, trials, seed, workers
-        )
-        for chi in dict.fromkeys(chis)
+        chi: estimate_failure_rate(code, decoder, model, trials, seed, workers)
+        for chi, decoder in decoders.items()
     }
     ref = results[chi_max]
     points = tuple(

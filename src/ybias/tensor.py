@@ -20,8 +20,12 @@ j and chi alone:
 
 * chi >= 2^floor(j/2): truncation could never drop a singular value, so the
   boundary is contracted exactly as one merged site holding all 2^j
-  amplitudes.  Each row of a column is one small matrix product against
-  that vector, and the result is the exact coset probability.
+  amplitudes, and the result is the exact coset probability.  A column is
+  absorbed in blocks of up to three consecutive rows (9 = 3+3+3,
+  7 = 3+3+1), each one matrix product against that vector.  A block's
+  matrix is its sites contracted over their internal vertical bonds; every
+  one the reference Pauli can select is tabulated once per code and noise
+  model and gathered by ``build_coset_network`` into each ``Column``.
 * chi < 2^floor(j/2): the boundary is an MPS that is compressed to bond
   dimension chi after every column (QR sweep, then SVD truncation).
   Absorption and the carries between sites are BLAS matrix products on
@@ -44,8 +48,10 @@ f * Xbar) instead of four times (Bravyi-Suchara-Vargo, arXiv:1405.4883).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -57,6 +63,7 @@ from .pauli import PauliOperator
 __all__ = [
     "NetworkLayout",
     "SiteTensorSpec",
+    "Column",
     "BoundaryMPS",
     "network_layout",
     "build_coset_network",
@@ -179,18 +186,82 @@ def network_layout(code: StabilizerCode) -> NetworkLayout:
     return NetworkLayout(code.id, j, k, faces, columns)
 
 
-@lru_cache(maxsize=16)
-def _site_tables(
-    code: StabilizerCode, model: BiasedNoiseModel
-) -> tuple[np.ndarray, tuple[tuple[tuple[np.ndarray, ...], ...], ...]]:
-    """Every site tensor the reference Pauli can select, built once per code and model.
+# Rows per block of the merged regime.  A block's table holds 4^b matrices
+# of up to (2^b * 4) x (4 * 2^b) float64 entries: 0.5 MiB at three rows,
+# 8 MiB at four.
+_BLOCK_ROWS = 3
 
-    Returns the qubits in site order and, per site, four read-only tensors
-    indexed by the reference's class ``x + 2z`` on that qubit.  A last-column
-    entry already stacks the closing of the class and of the class times Z
-    along its right bond.  Each tensor is a (up, down, left, right) view of a
-    C-contiguous (up, left, down, right) array, the layout ``_absorb``
-    multiplies without a copy.
+
+class Column(tuple):
+    """One column of a coset network: its site tensors, row 1 first, and row blocks.
+
+    Iterates and indexes as the (up, down, left, right) site tensors, which
+    the MPS chain absorbs one at a time.  ``blocks`` holds, per run of up to
+    ``_BLOCK_ROWS`` consecutive rows, the ``_row_block`` matrix of those
+    sites, which the merged boundary absorbs in one product.  Any other
+    sequence of site tensors is a valid column too; its blocks are
+    contracted when it is absorbed.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+
+    def __new__(cls, sites, blocks: tuple[np.ndarray, ...]):
+        column = tuple.__new__(cls, sites)
+        column.blocks = blocks
+        return column
+
+
+def _row_block(sites) -> np.ndarray:
+    """Consecutive sites of one column contracted over their internal vertical bonds.
+
+    Each site is (..., up, down, left, right), and leading axes broadcast.
+    The result is (..., P, K): rows (right_1, ..., right_b, down_b) and
+    columns (up_1, left_1, ..., left_b), the first site most significant.
+    As a matrix it maps the merged boundary's (vertical bond, old physical
+    indices) of these rows to (new physical indices, vertical bond below).
+    """
+    b = len(sites)
+    vertical, left, right = "abcd"[: b + 1], "lmn"[:b], "pqr"[:b]
+    spec = ",".join(
+        f"...{vertical[i]}{vertical[i + 1]}{left[i]}{right[i]}" for i in range(b)
+    )
+    m = np.einsum(f"{spec}->...{right}{vertical[b]}{vertical[0]}{left}", *sites, optimize=True)
+    rows = math.prod(m.shape[-2 * b - 2 : -b - 1])
+    return m.reshape(*m.shape[: -2 * b - 2], rows, -1)
+
+
+@lru_cache(maxsize=None)
+def _block_bounds(rows: int) -> tuple[tuple[int, int], ...]:
+    """(first row, end row) of each row block of a ``rows``-row column, 0-based."""
+    return tuple((r, min(r + _BLOCK_ROWS, rows)) for r in range(0, rows, _BLOCK_ROWS))
+
+
+class _Tables(NamedTuple):
+    """Every site tensor and row block a reference Pauli can select, for one code and model."""
+
+    qubits: np.ndarray  # qubit of each site, in site order (column by column)
+    sites: tuple[tuple[tuple[np.ndarray, ...], ...], ...]  # [column][row][class x + 2z]
+    blocks: tuple[tuple[tuple[np.ndarray, ...], ...], ...]  # [column][block][combined class]
+    weights: np.ndarray  # per site, 4^(its row within its block)
+    starts: np.ndarray  # first site of every block, in site order
+
+
+@lru_cache(maxsize=16)
+def _site_tables(code: StabilizerCode, model: BiasedNoiseModel) -> _Tables:
+    """Build the site and row-block tables of one code and model once.
+
+    Each site has four read-only tensors, indexed by the reference's class
+    ``x + 2z`` on its qubit.  A last-column entry already stacks the closing
+    of the class and of the class times Z along its right bond.  Each is a
+    (up, down, left, right) view of a C-contiguous (up, left, down, right)
+    array, the layout ``_absorb`` multiplies without a copy.
+
+    Each row block (``_block_bounds``) of each column has 4^b read-only
+    ``_row_block`` matrices, views into one (4^b, P, K) stack, indexed by
+    the block's combined class c_1 + 4 c_2 + 16 c_3: the sum of ``weights``
+    times the classes over the block's sites.  Blocks whose sites have the
+    same structure share one stack, so the tables hold at most 16 distinct
+    stacks however large the code.
     """
     layout = network_layout(code)
     probs = model.class_probs
@@ -208,28 +279,71 @@ def _site_tables(
             out.append(stored.transpose(0, 2, 1, 3))
         return tuple(out)
 
-    tables = tuple(
-        tuple(variants(site, c == layout.cols - 1) for site in col)
-        for c, col in enumerate(layout.columns)
+    def block_stack(block: tuple[tuple[np.ndarray, ...], ...]) -> tuple[np.ndarray, ...]:
+        # Site i's variants sit on broadcast axis b-1-i, so the C-order
+        # flattening of the b variant axes is c_1 + 4 c_2 + ...
+        b = len(block)
+        axes = [
+            np.stack(v).reshape((1,) * (b - 1 - i) + (4,) + (1,) * i + v[0].shape)
+            for i, v in enumerate(block)
+        ]
+        m = _row_block(axes)
+        stack = m.reshape(4**b, *m.shape[-2:]).copy()
+        stack.setflags(write=False)
+        return tuple(stack)
+
+    last = layout.cols - 1
+    sites = tuple(
+        tuple(variants(site, c == last) for site in col) for c, col in enumerate(layout.columns)
     )
-    qubits = np.array([site.qubit for col in layout.columns for site in col])
-    return qubits, tables
+    bounds = _block_bounds(layout.rows)
+    shared: dict[tuple, tuple[np.ndarray, ...]] = {}
+    blocks = []
+    for c, col in enumerate(layout.columns):
+        stacks = []
+        for lo, hi in bounds:
+            key = (c == last,) + tuple(
+                (s.mask.shape, s.mask.tobytes(), s.x_parity.tobytes(), s.z_parity.tobytes())
+                for s in col[lo:hi]
+            )
+            if key not in shared:
+                shared[key] = block_stack(sites[c][lo:hi])
+            stacks.append(shared[key])
+        blocks.append(tuple(stacks))
+    return _Tables(
+        qubits=np.array([site.qubit for col in layout.columns for site in col]),
+        sites=sites,
+        blocks=tuple(blocks),
+        weights=np.tile(4 ** (np.arange(layout.rows) % _BLOCK_ROWS), layout.cols),
+        starts=np.array(
+            [c * layout.rows + lo for c in range(layout.cols) for lo, _ in bounds]
+        ),
+    )
 
 
 def build_coset_network(
     code: StabilizerCode, model: BiasedNoiseModel, rep: PauliOperator
-) -> list[list[np.ndarray]]:
-    """Site tensors, column by column, for the cosets of ``rep`` and ``rep * Zbar_k``.
+) -> list[Column]:
+    """Columns of site tensors for the cosets of ``rep`` and ``rep * Zbar_k``.
 
     Columns 1..k-1 belong to ``rep``.  The last column carries two closings
     stacked along its right bond: index 0 for ``rep`` and index 1 for ``rep``
     times Z on every qubit of column k.  Contracting the result gives, per
-    closing, the sum of prob(P * S) over all stabilizers S.  The tensors are
-    shared read-only views of the tables cached per code and model.
+    closing, the sum of prob(P * S) over all stabilizers S.  The site
+    tensors and row blocks are shared read-only views of the tables cached
+    per code and model.
     """
-    qubits, tables = _site_tables(code, model)
-    classes = iter((rep.x_bits[qubits] + 2 * rep.z_bits[qubits]).tolist())
-    return [[variants[next(classes)] for variants in col] for col in tables]
+    tables = _site_tables(code, model)
+    classes = rep.x_bits[tables.qubits] + 2 * rep.z_bits[tables.qubits]
+    combined = iter(np.add.reduceat(classes * tables.weights, tables.starts).tolist())
+    classes = iter(classes.tolist())
+    return [
+        Column(
+            [variants[next(classes)] for variants in col],
+            tuple([matrices[next(combined)] for matrices in stacks]),
+        )
+        for col, stacks in zip(tables.sites, tables.blocks)
+    ]
 
 
 _geqrf, _orgqr, _gesdd, _gesvd = scipy.linalg.lapack.get_lapack_funcs(
@@ -311,7 +425,7 @@ def _is_exact(rows: int, chi: int) -> bool:
     return 2 ** (rows // 2) <= chi
 
 
-def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
+def _absorb(mps: BoundaryMPS, column: Sequence[np.ndarray]) -> list[np.ndarray]:
     absorbed = []
     for a, t in zip(mps.tensors, column):
         u, d, l, p = t.shape
@@ -322,23 +436,28 @@ def _absorb(mps: BoundaryMPS, column: list[np.ndarray]) -> list[np.ndarray]:
     return absorbed
 
 
-def _absorb_merged(state: np.ndarray, column: list[np.ndarray]) -> np.ndarray:
-    """Absorb one column into the merged boundary vector, one row at a time.
+def _absorb_merged(state: np.ndarray, column: Sequence[np.ndarray]) -> np.ndarray:
+    """Absorb one column into the merged boundary vector, one row block at a time.
 
-    Before row r the vector is laid out (new physical indices of rows 1..r-1,
-    vertical bond above row r, old physical indices of rows r..j).  The site
-    tensor, as a (p*d, u*l) matrix, maps the middle (u, l) pair to (p, d) in
-    place, which is the same layout one row further down, so the vector is
-    never transposed.  Returns the new vector over the rows' right bonds.
+    Before a block starting at row r the vector is laid out (new physical
+    indices of rows 1..r-1, vertical bond above row r, old physical indices
+    of rows r..j).  The block's ``_row_block`` matrix maps the middle
+    (vertical bond, old indices of its rows) to (new indices, vertical bond
+    below) in place, which is the same layout one block further down, so the
+    vector is never transposed.  Returns the new vector over the rows' right
+    bonds.
     """
+    bounds = _block_bounds(len(column))
+    if isinstance(column, Column):
+        blocks = column.blocks
+    else:
+        blocks = [_row_block(column[lo:hi]) for lo, hi in bounds]
     lead = 1
-    for t in column:
-        u, d, l, p = t.shape
-        m = t.transpose(3, 1, 0, 2).reshape(p * d, u * l)
-        x = state.reshape(lead, u * l, -1)
+    for (_, hi), m in zip(bounds, blocks):
+        x = state.reshape(lead, m.shape[1], -1)
         # One trailing entry makes the stacked product a single plain one.
         state = x[:, :, 0] @ m.T if x.shape[2] == 1 else np.matmul(m, x)
-        lead *= p
+        lead *= m.shape[0] // column[hi - 1].shape[1]
     return state.reshape(-1)
 
 
@@ -402,7 +521,7 @@ def _compress(
 
 
 def _apply_merged(
-    mps: BoundaryMPS, column: list[np.ndarray], stats: dict | None
+    mps: BoundaryMPS, column: Sequence[np.ndarray], stats: dict | None
 ) -> BoundaryMPS:
     """Absorb one column into the merged boundary exactly and pull out its norm.
 
@@ -411,7 +530,7 @@ def _apply_merged(
     below), with ``discarded_weight`` 0.0.
     """
     state = _absorb_merged(mps.tensors[0], column)
-    norm = float(np.linalg.norm(state))
+    norm = math.sqrt(state @ state)  # what np.linalg.norm computes, without its overhead
     if not math.isfinite(norm):
         raise ValueError("boundary state holds infs or NaNs")
     if norm == 0.0:
@@ -427,7 +546,7 @@ def _apply_merged(
 
 
 def apply_and_truncate(
-    mps: BoundaryMPS, column: list[np.ndarray], chi: int, stats: dict | None = None
+    mps: BoundaryMPS, column: Sequence[np.ndarray], chi: int, stats: dict | None = None
 ) -> BoundaryMPS:
     """Absorb one column of site tensors, then compress to bond dimension chi.
 
@@ -450,7 +569,7 @@ def apply_and_truncate(
     return BoundaryMPS(tensors, mps.log_norm + factor, False)
 
 
-def _close(mps: BoundaryMPS, column: list[np.ndarray]) -> np.ndarray:
+def _close(mps: BoundaryMPS, column: Sequence[np.ndarray]) -> np.ndarray:
     """Absorb the final column and contract once per index of its right bond.
 
     That bond is open, so each index is a separate closing of the same
@@ -480,7 +599,7 @@ def _close(mps: BoundaryMPS, column: list[np.ndarray]) -> np.ndarray:
 
 
 def contract_columns(
-    columns: list[list[np.ndarray]], chi: int, stats: dict | None = None
+    columns: Sequence[Sequence[np.ndarray]], chi: int, stats: dict | None = None
 ) -> np.ndarray:
     """Contract a column list to one log value per closing; -inf where it vanishes.
 

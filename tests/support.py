@@ -7,6 +7,8 @@ routine — none of it reuses the decoders' scoring internals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ybias.codes import StabilizerCode, syndrome
@@ -130,6 +132,36 @@ def mps_chain_scores(
     for col in columns[:-1]:
         mps = tensor.apply_and_truncate(mps, col, chi, stats)
     return tensor._close(mps, columns[-1])
+
+
+def merged_row_by_row_scores(columns) -> np.ndarray:
+    """Closing log values of a coset network by the merged boundary, one row at a time.
+
+    The reference for the row-block absorption of ``tensor``: the boundary
+    is one vector over the rows' horizontal bonds, row 1 most significant,
+    and each site, as a (right*down, up*left) matrix, maps the (vertical
+    bond, old index) pair of its row to (new index, vertical bond below).
+    The vector is normalised after every column but the last, whose closing
+    i is the entry with every row index i.
+    """
+    closings = columns[-1][0].shape[3]
+    state = np.ones(1)
+    log_norm = 0.0
+    for c, col in enumerate(columns):
+        lead = 1
+        for t in col:
+            u, d, l, p = t.shape
+            m = t.transpose(3, 1, 0, 2).reshape(p * d, u * l)
+            state = np.matmul(m, state.reshape(lead, u * l, -1)).reshape(-1)
+            lead *= p
+        if c < len(columns) - 1:
+            norm = float(np.linalg.norm(state))
+            if norm == 0.0:
+                return np.full(closings, -math.inf)
+            state = state / norm
+            log_norm += math.log(norm)
+    values = state[np.arange(closings) * sum(closings**r for r in range(len(columns[-1])))]
+    return np.array([log_norm + math.log(v) if v > 0.0 else -math.inf for v in values])
 
 
 def sample_syndromes(code: StabilizerCode, model: BiasedNoiseModel, rng, count: int) -> np.ndarray:

@@ -294,6 +294,21 @@ class TestConvergence:
         )
         assert rc == 1 and "rotated" in err
 
+    def test_chi_below_one_exits_one_before_decoding(self, capsys, monkeypatch):
+        from ybias import sim
+
+        decoded = []
+        monkeypatch.setattr(
+            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+            "--chis", "2", "--chis", "0", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "--chis" in err
+        assert not decoded
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_one(self, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import support
-from ybias import tensor
+from ybias import decoders, tensor
 from ybias.codes import build_rotated_code, build_standard_code, syndrome
 from ybias.decoders import (
     BruteForceDecoder,
@@ -31,7 +31,7 @@ from ybias.decoders import (
     mps_decode_rotated,
     repetition_decode,
 )
-from ybias.gf2 import matmul_mod2, nullspace_basis
+from ybias.gf2 import matmul_mod2, nullspace_basis, solve
 from ybias.noise import BiasedNoiseModel, sample_error
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
@@ -161,7 +161,53 @@ class TestCycleFailureBound:
             cycle_failure_bound(10, p)
 
 
+def _loop_assembled_y_recovery(code, s):
+    """Concatenated-y recovery bits by the per-edge assembly loop, as a reference.
+
+    Rebuilds the block slices from the code's structure and sums each
+    block's relative bits and assembles the recovery one block at a time,
+    where ``concatenated_y_decode`` uses precomputed index arrays.
+    """
+    tools = decoders._concatenated_tools(code)
+    structure = tools.structure
+    assert not tools.u_rel[0].any()
+    rel_bits = matmul_mod2(tools.u_rel[1:], s)
+    base = solve(tools.cycle.checks, matmul_mod2(tools.u_tri, s))
+    block_members = [np.array(members) for _, members in structure.repetition_blocks]
+    rel_slices, pos = [], 0
+    for members in block_members:
+        rel_slices.append((pos, pos + len(members) - 1))
+        pos += len(members) - 1
+    edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
+    block_of_edge = [edge_to_block[e] for e in tools.cycle.edges]
+    block_lengths = np.array([len(block_members[b]) for b in block_of_edge], dtype=np.int64)
+    block_w = np.array([int(rel_bits[a:b].sum()) for a, b in rel_slices], dtype=np.int64)
+    w_edge = block_w[block_of_edge]
+    candidates = base[None, :] ^ tools.cuts
+    costs = candidates.astype(np.int64) @ (block_lengths - 2 * w_edge) + w_edge.sum()
+    best = candidates[int(np.argmin(costs))]
+    y = np.zeros(code.n, dtype=np.uint8)
+    y[tools.boundary] = matmul_mod2(tools.u_boundary, s)
+    for edge_idx, block_idx in enumerate(block_of_edge):
+        a, b = rel_slices[block_idx]
+        bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]
+        y[block_members[block_idx]] = bits
+    return y
+
+
 class TestConcatenated:
+    @pytest.mark.parametrize("j,k", [(4, 4), (6, 9), (9, 9), (3, 4)])
+    def test_recovery_matches_the_assembly_loop(self, j, k):
+        code = build_standard_code(j, k)
+        decoder = ConcatenatedYDecoder(code)
+        rng = np.random.default_rng(41)
+        for p in (0.05, 0.2, 0.45):
+            for _ in range(20):
+                s = y_syndrome(code, (rng.random(code.n) < p).astype(np.uint8))
+                got = decoder.decode(s).recovery.x_bits
+                want = _loop_assembled_y_recovery(code, s)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_zero_syndrome_returns_identity(self):
         for j, k in [(4, 4), (3, 4)]:
             code = build_standard_code(j, k)
@@ -578,12 +624,16 @@ class TestMps:
         with pytest.raises(ValueError):
             MpsDecoder(code, BiasedNoiseModel(p=0.1, eta=0.5), chi=0)
 
-    @pytest.mark.parametrize("distance", [5, 7])
-    def test_decode_runs_two_sweeps(self, distance, monkeypatch):
-        # One sweep from f closes as I and Z, one from f * Xbar as X and Y.
+    @pytest.mark.parametrize(
+        "distance,chi",
+        [pytest.param(5, 8, id="5"), pytest.param(7, 8, id="7"), pytest.param(7, 2, id="7-chain")],
+    )
+    def test_decode_runs_two_sweeps(self, distance, chi, monkeypatch):
+        # One sweep from f closes as I and Z, one from f * Xbar as X and Y,
+        # on the merged boundary (chi >= 2^floor(j/2)) and on the MPS chain.
         code = build_rotated_code(distance, distance)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
-        decoder = MpsDecoder(code, model, chi=8)
+        decoder = MpsDecoder(code, model, chi=chi)
         s = syndrome(code, sample_error(model, code.n, np.random.default_rng(71)))
         original = tensor.apply_and_truncate
         calls = []

@@ -185,6 +185,17 @@ class TestConvergenceStudy:
         assert results[0].failures == results[1].failures == exact.failures
         assert results[0].rate == exact.rate
 
+    def test_bad_chi_raises_before_any_decoding(self, monkeypatch):
+        import ybias.sim
+
+        decoded = []
+        monkeypatch.setattr(
+            ybias.sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        with pytest.raises(ValueError, match="chi"):
+            convergence_study(build_rotated_code(3, 3), PURE_Y, (2, 0), 10, seed=0)
+        assert not decoded
+
     def test_requires_two_bond_dimensions(self):
         code = build_rotated_code(3, 3)
         with pytest.raises(ValueError):

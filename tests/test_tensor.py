@@ -241,6 +241,8 @@ class TestContractionMechanics:
         model = BiasedNoiseModel(p=0.15, eta=0.5)
         columns = build_coset_network(code, model, PauliOperator.identity(code.n))
         base = contract_columns([list(col) for col in columns], 8)
+        # Columns are immutable; an edited copy is contracted without the tables.
+        columns[1] = list(columns[1])
         columns[1][2] = columns[1][2] * 3.5
         scaled = contract_columns(columns, 8)
         assert scaled.shape == (2,)
@@ -250,6 +252,7 @@ class TestContractionMechanics:
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
         columns = build_coset_network(code, model, PauliOperator.identity(code.n))
+        columns[0] = list(columns[0])
         columns[0][1] = columns[0][1] * 0.0
         assert (contract_columns(columns, 8) == -math.inf).all()
 
@@ -470,6 +473,57 @@ def test_non_finite_site_raises_in_the_merged_boundary(bad):
     columns = build_coset_network(code, model, PauliOperator.identity(code.n))
     site = columns[1][2].copy()
     site[0, 0, 0, 0] = bad
+    columns[1] = list(columns[1])
     columns[1][2] = site
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         contract_columns(columns, 64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 3), (5, 5), (7, 7), (9, 9), (11, 11), (5, 7), (7, 5)]),
+    eta=st.sampled_from([0.5, 3.0, math.inf]),
+    p=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    edit=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocks_match_row_by_row_absorption(shape, eta, p, edit, seed):
+    """Absorbing a column in blocks of up to three rows equals absorbing it row by row.
+
+    Columns from ``build_coset_network`` carry their blocks from the tables;
+    an edited column is a plain list, whose blocks are contracted on the fly.
+    Only the summation order differs, so closings within 10 log-units of the
+    dominant one agree to rounding.
+    """
+    code = build_rotated_code(*shape)
+    model = BiasedNoiseModel(p=p, eta=eta)
+    rng = np.random.default_rng(seed)
+    rep = sample_error(model, code.n, rng)
+    columns = build_coset_network(code, model, rep)
+    if edit:
+        c, r = int(rng.integers(code.k)), int(rng.integers(code.j))
+        columns[c] = list(columns[c])
+        columns[c][r] = columns[c][r] * rng.uniform(0.5, 2.0, columns[c][r].shape)
+    blocked = contract_columns(columns, _exact_chi(code))
+    reference = support.merged_row_by_row_scores(columns)
+    dominant = max(blocked.max(), reference.max())
+    assert math.isfinite(dominant)
+    for a, b in zip(blocked, reference):
+        if max(a, b) >= dominant - 10.0:
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [9, 11])
+def test_block_tables_do_not_grow_with_the_code(rows):
+    """A few distinct read-only block stacks serve every column, however many there are."""
+    model = BiasedNoiseModel(p=0.19, eta=0.5)
+
+    def stacks(code):
+        blocks = tensor._site_tables(code, model).blocks
+        matrices = [m for column in blocks for block in column for m in block]
+        assert all(not m.flags.writeable for m in matrices)
+        return {id(m.base) for m in matrices}
+
+    square = stacks(build_rotated_code(rows, rows))
+    wide = stacks(build_rotated_code(rows, 2 * rows + 1))
+    assert len(square) == len(wide) <= 16
