@@ -421,13 +421,13 @@ class _ConcatenatedTools:
 
         # Every block member, edge by edge: its qubit, its edge, and its row
         # of u_rel.  A one-member block holds only its reference (row 0).
-        members = [
+        placed = [
             (q, e, first_rel[b] + i - 1 if i else 0)
             for e, b in enumerate(block_of_edge)
             for i, q in enumerate(blocks[b])
         ]
         self.member_qubit, self.member_edge, self.member_rel = (
-            np.array(column, dtype=np.int64) for column in zip(*members)
+            np.array(column, dtype=np.int64) for column in zip(*placed)
         )
         self.block_lengths = np.bincount(self.member_edge, minlength=len(block_of_edge))
         verts = ((np.arange(2**g, dtype=np.uint32)[:, None] >> np.arange(g)) & 1).astype(np.uint8)

@@ -288,7 +288,7 @@ def _site_tables(code: StabilizerCode, model: BiasedNoiseModel) -> _Tables:
             for i, v in enumerate(block)
         ]
         m = _row_block(axes)
-        stack = m.reshape(4**b, *m.shape[-2:]).copy()
+        stack = np.ascontiguousarray(m.reshape(4**b, *m.shape[-2:]))
         stack.setflags(write=False)
         return tuple(stack)
 
@@ -302,7 +302,9 @@ def _site_tables(code: StabilizerCode, model: BiasedNoiseModel) -> _Tables:
     for c, col in enumerate(layout.columns):
         stacks = []
         for lo, hi in bounds:
-            key = (c == last,) + tuple(
+            # Only the last column's sites have a right bond of dimension 1,
+            # so their stacked closings never share a stack with another column.
+            key = tuple(
                 (s.mask.shape, s.mask.tobytes(), s.x_parity.tobytes(), s.z_parity.tobytes())
                 for s in col[lo:hi]
             )
