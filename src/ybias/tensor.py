@@ -337,12 +337,12 @@ def build_coset_network(
     """
     tables = _site_tables(code, model)
     classes = rep.x_bits[tables.qubits] + 2 * rep.z_bits[tables.qubits]
-    combined = iter(np.add.reduceat(classes * tables.weights, tables.starts).tolist())
-    classes = iter(classes.tolist())
+    per_block = iter(np.add.reduceat(classes * tables.weights, tables.starts).tolist())
+    per_site = iter(classes.tolist())
     return [
         Column(
-            [variants[next(classes)] for variants in col],
-            tuple([matrices[next(combined)] for matrices in stacks]),
+            [variants[next(per_site)] for variants in col],
+            tuple([matrices[next(per_block)] for matrices in stacks]),
         )
         for col, stacks in zip(tables.sites, tables.blocks)
     ]
