@@ -19,13 +19,9 @@ from .decoders import (
     ExactYDecoder,
     MpsDecoder,
     UnattainableSyndromeError,
-    brute_force_ml_decode,
-    concatenated_y_decode,
     cycle_decode,
     cycle_failure_bound,
     decoder_from_name,
-    exact_ml_y_decode,
-    mps_decode_rotated,
     repetition_decode,
 )
 from .noise import BiasedNoiseModel, hashing_bound, sample_error
@@ -61,10 +57,6 @@ __all__ = [
     "repetition_decode",
     "cycle_decode",
     "cycle_failure_bound",
-    "exact_ml_y_decode",
-    "concatenated_y_decode",
-    "brute_force_ml_decode",
-    "mps_decode_rotated",
     "decoder_from_name",
     "ExactYDecoder",
     "ConcatenatedYDecoder",

@@ -282,10 +282,10 @@ def threshold_cmd(
     pc_init = _merge(pc_init, config, "pc_init")
     pc_init = None if pc_init is None else _number(pc_init, "--pc-init")
     nu_init = _number(_merge(nu_init, config, "nu_init", 1.0), "--nu-init")
-    if len(distances) < 3:
-        raise ConfigError(f"need >= 3 distances, got {distances}")
-    if len(ps) < 3:
-        raise ConfigError(f"need >= 3 p-values, got {ps}")
+    if len(set(distances)) < 3:
+        raise ConfigError(f"need >= 3 distinct distances, got {distances}")
+    if len(set(ps)) < 3:
+        raise ConfigError(f"need >= 3 distinct p-values, got {ps}")
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
     try:
@@ -368,8 +368,8 @@ def convergence_cmd(
     seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
-    if len(chis) < 2:
-        raise ConfigError(f"need >= 2 chi values, got {chis}")
+    if len(set(chis)) < 2:
+        raise ConfigError(f"need >= 2 distinct chi values, got {chis}")
     if min(chis) < 1:
         raise ConfigError(f"--chis must be >= 1, got {min(chis)}")
     if trials < 1:

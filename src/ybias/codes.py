@@ -38,6 +38,7 @@ __all__ = [
     "build_standard_code",
     "build_rotated_code",
     "syndrome",
+    "syndrome_batch",
     "y_distance",
     "y_logical_count",
     "construct_y_logical",
@@ -348,13 +349,25 @@ def build_rotated_code(j: int, k: int) -> StabilizerCode:
     )
 
 
+def syndrome_batch(code: StabilizerCode, x_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
+    """Syndromes of many Paulis, row i from X part ``x_rows[i]`` and Z part ``z_rows[i]``.
+
+    Each row holds the anticommutation bit per generator: X-check bits
+    first, then Z-check bits.
+    """
+    shape, z_shape = np.shape(x_rows), np.shape(z_rows)
+    if len(shape) != 2 or shape != z_shape or shape[1] != code.n:
+        raise ValueError(f"expected two (count, {code.n}) bit blocks, got {shape} and {z_shape}")
+    sx = matmul_mod2(z_rows, code.x_checks.T)
+    sz = matmul_mod2(x_rows, code.z_checks.T)
+    return np.concatenate([sx, sz], axis=1)
+
+
 def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:
     """Anticommutation bit per generator: X-check bits first, then Z-check bits."""
     if e.n != code.n:
         raise ValueError(f"operator has {e.n} qubits, code has {code.n}")
-    sx = matmul_mod2(code.x_checks, e.z_bits)
-    sz = matmul_mod2(code.z_checks, e.x_bits)
-    return np.concatenate([sx, sz])
+    return syndrome_batch(code, e.x_bits[None], e.z_bits[None])[0]
 
 
 def y_distance(j: int, k: int, layout: str) -> int:

@@ -1,9 +1,14 @@
 """Decoding algorithms and the brute-force maximum-likelihood oracle.
 
-All decoders consume a syndrome (X-check bits then Z-check bits, in check
-construction order) and return a :class:`DecodeOutcome`.  Success is always
-judged externally by whether recovery * error lies in the stabilizer group;
-decoders report argmax classes relative to their own candidate recovery.
+One class per algorithm: :class:`ExactYDecoder`, :class:`ConcatenatedYDecoder`,
+:class:`BruteForceDecoder` and :class:`MpsDecoder`.  Each checks its code and
+noise model once, in ``__init__``.  ``decode(s)`` takes one syndrome (X-check
+bits then Z-check bits, in check construction order) and returns a
+:class:`DecodeOutcome`; ``ExactYDecoder.decode_batch`` takes a block of
+syndromes, one per row, and returns recoveries and verdicts.  Decoders read
+syndromes only, never errors, and judge nothing: ``sim`` judges success by
+whether recovery * error lies in the stabilizer group.  Verdicts are argmax
+classes relative to each decoder's own candidate recovery.
 
 Tie-breaking is deterministic everywhere: coset log-scores within 1e-9 of
 each other are tied, and ties prefer I, then X, Y, Z, so a verdict never
@@ -42,10 +47,6 @@ __all__ = [
     "cycle_decode",
     "cycle_decode_batch",
     "cycle_failure_bound",
-    "concatenated_y_decode",
-    "exact_ml_y_decode",
-    "brute_force_ml_decode",
-    "mps_decode_rotated",
     "candidate_recovery",
     "ExactYDecoder",
     "ConcatenatedYDecoder",
@@ -176,15 +177,17 @@ def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
 
 
 def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p: float):
-    """Scores of the I and L cosets of each candidate, and whether L strictly wins.
+    """Scores of the I and L cosets of each candidate, and whether L wins.
 
-    ``cands`` is one Y-configuration or a (trials, n) block; each coset is
-    summed over the rows of ``group``, every Y-type stabilizer.  Ties go to I.
+    ``cands`` is a (trials, n) block of Y-configurations; each coset is
+    summed over the rows of ``group``, every Y-type stabilizer.  Scores
+    within the tie tolerance go to I, so cosets equal in exact arithmetic
+    (every pair at p = 1/2) never follow rounding.
     """
     n = group.shape[1]
     score_i = _pure_y_log_score((cands[..., None, :] ^ group).sum(axis=-1), n, p)
     score_l = _pure_y_log_score(((cands ^ logical)[..., None, :] ^ group).sum(axis=-1), n, p)
-    return score_i, score_l, score_l > score_i
+    return score_i, score_l, score_l > score_i + _TIE_TOLERANCE
 
 
 class _StandardYTools:
@@ -201,10 +204,8 @@ class _StandardYTools:
                 & 1
             ).astype(np.uint8)
             self.group = matmul_mod2(subset_bits, gen_matrix)
-            self.stab_reducer = Gf2Solver(gen_matrix)
         else:
             self.group = np.zeros((1, code.n), dtype=np.uint8)
-            self.stab_reducer = None
         # Bottom-row vertex check indices: the only checks a top-row-zero sweep can miss.
         j, k = code.j, code.k
         self.bottom_vertex_indices = np.array(
@@ -276,9 +277,9 @@ class _StandardYTools:
 
         The sweep and every residual-clearing rule are XOR-linear and send
         the zero syndrome to the empty configuration, so the candidate for
-        any Y error is the XOR of these rows over its support.  This lets
-        batch decoding reuse the exact same candidate (and hence the same
-        class labels) as the one-shot path.
+        any Y error is the XOR of these rows over its support.  So the
+        decoder takes its candidates as GF(2) solutions times these rows:
+        the sweep's candidates, for a whole batch in one product.
         """
         # Column q of the check matrix is the syndrome of a Y error at qubit q.
         return np.stack([self.candidate(s) for s in self.code.y_checks.T])
@@ -289,80 +290,68 @@ def _standard_y_tools(code: StabilizerCode) -> _StandardYTools:
     return _StandardYTools(code)
 
 
-def exact_ml_y_decode(code: StabilizerCode, model: BiasedNoiseModel, s: np.ndarray) -> DecodeOutcome:
+class ExactYDecoder:
     """Exact maximum-likelihood decoding under pure Y noise.
 
     Compares the identity coset against the logical coset, each summed over
     all Y-type stabilizers in log domain; ties resolve to the identity
     class.  On the rotated layout the only Y-type stabilizer is the
-    identity.
+    identity and the candidate is the canonical GF(2) solution; on the
+    standard layout it is the top-row sweep of :class:`_StandardYTools`.
     """
-    if not math.isinf(model.eta):
-        raise ValueError("exact_ml_y_decode requires a pure-Y model (eta = inf)")
-    s = np.asarray(s, dtype=np.uint8)
-    if s.size != code.num_checks:
-        raise ValueError(f"syndrome length {s.size} != {code.num_checks}")
-    if code.layout == "rotated":
-        y = code.y_solver.solve(s)
-        if y is None:
-            raise UnattainableSyndromeError(f"{code.id}: unattainable pure-Y syndrome")
-        group = np.zeros((1, code.n), dtype=np.uint8)
-    else:
-        tools = _standard_y_tools(code)
-        y = tools.candidate(s)
-        group = tools.group
-    logical = code.logical_y.x_bits
-    score_i, score_l, take_l = _pure_y_scores(y, group, logical, model.p)
-    recovery = y ^ logical if take_l else y
-    scores = {"I": float(score_i), "L": float(score_l)}
-    return DecodeOutcome(PauliOperator.y_type(recovery), "L" if take_l else "I", scores)
-
-
-class ExactYDecoder:
-    """Pure-Y maximum-likelihood decoder with a vectorized whole-batch path."""
 
     name = "exact-y"
 
     def __init__(self, code: StabilizerCode, model: BiasedNoiseModel):
         if not math.isinf(model.eta):
-            raise ValueError("ExactYDecoder requires eta = inf")
+            raise ValueError("ExactYDecoder requires a pure-Y model (eta = inf)")
         self.code = code
         self.model = model
         self.params: dict = {}
-
-    def decode(self, s: np.ndarray) -> DecodeOutcome:
-        return exact_ml_y_decode(self.code, self.model, s)
-
-    def decode_batch(self, x_bits: np.ndarray, z_bits: np.ndarray):
-        """Decode errors given as (trials, n) bit blocks; returns (success, verdict).
-
-        Candidates, scores and verdicts equal those of :meth:`decode` row by row.
-        """
-        if not np.array_equal(x_bits, z_bits):
-            raise ValueError("pure-Y decoder fed a non-Y-type error batch")
-        code = self.code
-        errors = x_bits.astype(np.uint8)
         if code.layout == "rotated":
-            cands = code.y_solver.solve_batch(matmul_mod2(errors, code.y_checks.T))
-            group, reducer = np.zeros((1, code.n), dtype=np.uint8), None
+            self._candidate_rows = None
+            self._group = np.zeros((1, code.n), dtype=np.uint8)
         else:
             tools = _standard_y_tools(code)
-            cands = matmul_mod2(errors, tools.candidate_rows)
-            group, reducer = tools.group, tools.stab_reducer
+            self._candidate_rows = tools.candidate_rows
+            self._group = tools.group
+
+    def _decode_rows(self, syndromes: np.ndarray):
+        """Recoveries, verdicts and (I, L) coset scores for a (trials, checks) block."""
+        code = self.code
+        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        cands = code.y_solver.solve_batch(syndromes)
+        if matmul_mod2(syndromes, code.y_solver.consistency_matrix.T).any():
+            raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
+        if self._candidate_rows is not None:
+            cands = matmul_mod2(cands, self._candidate_rows)
         logical = code.logical_y.x_bits
-        trials = errors.shape[0]
-        success = np.empty(trials, dtype=bool)
-        verdicts = np.empty(trials, dtype="<U1")
-        chunk = max(1, 2_000_000 // (group.shape[0] * code.n))
-        for lo in range(0, trials, chunk):
-            cs = cands[lo : lo + chunk]
-            take_l = _pure_y_scores(cs, group, logical, self.model.p)[2]
-            verdicts[lo : lo + chunk] = np.where(take_l, "L", "I")
-            leftover = np.where(take_l[:, None], cs ^ logical, cs) ^ errors[lo : lo + chunk]
-            if reducer is not None:
-                leftover = reducer.reduce_rowspace_batch(leftover)
-            success[lo : lo + chunk] = ~leftover.any(axis=1)
-        return success, verdicts
+        score_i = np.empty(len(cands))
+        score_l = np.empty(len(cands))
+        take_l = np.empty(len(cands), dtype=bool)
+        chunk = max(1, 2_000_000 // (self._group.shape[0] * code.n))
+        for lo in range(0, len(cands), chunk):
+            part = slice(lo, lo + chunk)
+            score_i[part], score_l[part], take_l[part] = _pure_y_scores(
+                cands[part], self._group, logical, self.model.p
+            )
+        recovery = np.where(take_l[:, None], cands ^ logical, cands)
+        return recovery, np.where(take_l, "L", "I"), (score_i, score_l)
+
+    def decode_batch(self, syndromes: np.ndarray):
+        """Decode a (trials, checks) syndrome block; returns (recovery_x, recovery_z, verdicts).
+
+        Recoveries are Y-type, so the two bit blocks are equal; verdicts are
+        "I" or "L" per row.  Any unattainable row raises
+        UnattainableSyndromeError.
+        """
+        recovery, verdicts, _ = self._decode_rows(syndromes)
+        return recovery, recovery.copy(), verdicts
+
+    def decode(self, s: np.ndarray) -> DecodeOutcome:
+        recovery, verdicts, (score_i, score_l) = self._decode_rows(np.asarray(s)[None])
+        scores = {"I": float(score_i[0]), "L": float(score_l[0])}
+        return DecodeOutcome(PauliOperator.y_type(recovery[0]), str(verdicts[0]), scores)
 
 
 # -- concatenated decoder --------------------------------------------------
@@ -372,8 +361,6 @@ class _ConcatenatedTools:
     """Syndrome-conversion matrices and cut tables for one standard code."""
 
     def __init__(self, code: StabilizerCode, structure: YCodeStructure):
-        self.code = code
-        self.structure = structure
         self.solver = code.y_solver
         g = structure.g
         self.cycle = cycle_code(g + 1)
@@ -442,9 +429,7 @@ def _concatenated_tools(code: StabilizerCode) -> _ConcatenatedTools:
     return _ConcatenatedTools(code, y_code_structure(code.j, code.k, code))
 
 
-def concatenated_y_decode(
-    structure: YCodeStructure, code: StabilizerCode, s: np.ndarray
-) -> DecodeOutcome:
+class ConcatenatedYDecoder:
     """Level-by-level decoding of a pure-Y syndrome on a standard code.
 
     The surface syndrome is converted by precomputed GF(2) combinations into
@@ -455,55 +440,46 @@ def concatenated_y_decode(
     the one of minimum total qubit weight.  Corrects every error of weight
     at most (d_Y - 1)/2.
     """
-    if code.layout != "standard":
-        raise ValueError("concatenated decoding applies to standard-layout codes")
-    tools = _concatenated_tools(code)
-    if tools.structure is not structure and (
-        structure.j != code.j or structure.k != code.k
-    ):
-        raise ValueError("structure does not match code")
-    s = np.asarray(s, dtype=np.uint8)
-    if not tools.solver.is_consistent(s):
-        raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
 
-    boundary_bits = matmul_mod2(tools.u_boundary, s)
-    rel_bits = matmul_mod2(tools.u_rel, s)
-    tri_bits = matmul_mod2(tools.u_tri, s)
-
-    base = solve(tools.cycle.checks, tri_bits)
-    if base is None:
-        raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
-
-    member_bits = rel_bits[tools.member_rel]
-    # Per edge, the weight of its block's relative pattern (a small integer,
-    # so the float sum is exact).
-    w_edge = np.bincount(
-        tools.member_edge, weights=member_bits, minlength=tools.block_lengths.size
-    ).astype(np.int64)
-    candidates = base[None, :] ^ tools.cuts
-    costs = candidates.astype(np.int64) @ (tools.block_lengths - 2 * w_edge) + w_edge.sum()
-    best = candidates[int(np.argmin(costs))]
-
-    y = np.zeros(code.n, dtype=np.uint8)
-    y[tools.boundary] = boundary_bits
-    y[tools.member_qubit] = member_bits ^ best[tools.member_edge]
-    if not np.array_equal(matmul_mod2(code.y_checks, y), s):
-        raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
-    return DecodeOutcome(PauliOperator.y_type(y), None, None)
-
-
-class ConcatenatedYDecoder:
     name = "concatenated-y"
 
     def __init__(self, code: StabilizerCode):
         if code.layout != "standard":
             raise ValueError("concatenated-y requires the standard layout")
         self.code = code
-        self.structure = _concatenated_tools(code).structure
+        self._tools = _concatenated_tools(code)
         self.params: dict = {}
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
-        return concatenated_y_decode(self.structure, self.code, s)
+        code, tools = self.code, self._tools
+        s = np.asarray(s, dtype=np.uint8)
+        if not tools.solver.is_consistent(s):
+            raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
+
+        boundary_bits = matmul_mod2(tools.u_boundary, s)
+        rel_bits = matmul_mod2(tools.u_rel, s)
+        tri_bits = matmul_mod2(tools.u_tri, s)
+
+        base = solve(tools.cycle.checks, tri_bits)
+        if base is None:
+            raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
+
+        member_bits = rel_bits[tools.member_rel]
+        # Per edge, the weight of its block's relative pattern (a small integer,
+        # so the float sum is exact).
+        w_edge = np.bincount(
+            tools.member_edge, weights=member_bits, minlength=tools.block_lengths.size
+        ).astype(np.int64)
+        candidates = base[None, :] ^ tools.cuts
+        costs = candidates.astype(np.int64) @ (tools.block_lengths - 2 * w_edge) + w_edge.sum()
+        best = candidates[int(np.argmin(costs))]
+
+        y = np.zeros(code.n, dtype=np.uint8)
+        y[tools.boundary] = boundary_bits
+        y[tools.member_qubit] = member_bits ^ best[tools.member_edge]
+        if not np.array_equal(matmul_mod2(code.y_checks, y), s):
+            raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
+        return DecodeOutcome(PauliOperator.y_type(y), None, None)
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -547,47 +523,40 @@ def candidate_recovery(code: StabilizerCode, s: np.ndarray) -> PauliOperator:
     return PauliOperator(x_bits, z_bits)
 
 
-def brute_force_ml_decode(
-    code: StabilizerCode, model: BiasedNoiseModel, s: np.ndarray
-) -> DecodeOutcome:
-    """Exact coset probabilities by enumerating all 2^(n-1) stabilizers."""
-    tools = _brute_tools(code)
-    f = candidate_recovery(code, s)
-    n = code.n
-    logp = model.log_class_probs
-    scores: dict[str, float] = {}
-    reps = logical_class_representatives(code)
-    for label in _CLASS_ORDER:
-        base = f.mul(reps[label]).symplectic()
-        ops = tools.group ^ base
-        cats = ops[:, :n] + 2 * ops[:, n:]
-        with np.errstate(invalid="ignore"):
-            per_op = logp[cats].sum(axis=1)
-        scores[label] = float(logsumexp(per_op))
-    verdict = _argmax_class(scores, _CLASS_ORDER)
-    return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
-
-
 class BruteForceDecoder:
+    """Exact coset probabilities by enumerating all 2^(n-1) stabilizers."""
+
     name = "brute-force"
 
     def __init__(self, code: StabilizerCode, model: BiasedNoiseModel):
-        _brute_tools(code)  # validate size eagerly
+        self._tools = _brute_tools(code)  # validates the size
         self.code = code
         self.model = model
         self.params: dict = {}
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
-        return brute_force_ml_decode(self.code, self.model, s)
+        code = self.code
+        f = candidate_recovery(code, s)
+        n = code.n
+        logp = self.model.log_class_probs
+        scores: dict[str, float] = {}
+        reps = logical_class_representatives(code)
+        for label in _CLASS_ORDER:
+            base = f.mul(reps[label]).symplectic()
+            ops = self._tools.group ^ base
+            cats = ops[:, :n] + 2 * ops[:, n:]
+            with np.errstate(invalid="ignore"):
+                per_op = logp[cats].sum(axis=1)
+            scores[label] = float(logsumexp(per_op))
+        verdict = _argmax_class(scores, _CLASS_ORDER)
+        return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
 
 
 # -- rotated-layout MPS decoder -------------------------------------------
 
 
-def mps_decode_rotated(
-    code: StabilizerCode, model: BiasedNoiseModel, s: np.ndarray, chi: int
-) -> DecodeOutcome:
-    """Approximate ML decoding by boundary-MPS contraction at bond cap chi.
+class MpsDecoder:
+    """Approximate ML decoding by boundary-MPS contraction at bond cap chi (rotated layout).
 
     Two boundary sweeps score the four cosets.  Z on every qubit of the last
     column k equals ``code.logical_z`` (column 1) times a stabilizer, so the
@@ -601,26 +570,6 @@ def mps_decode_rotated(
     Where chi >= 2^floor(j/2) for a code of j rows no bond could truncate:
     each sweep contracts the boundary exactly as one dense vector, and the
     decoder is exact maximum likelihood.
-    """
-    if code.layout != "rotated":
-        raise ValueError("mps_decode_rotated requires a rotated-layout code")
-    if chi < 1:
-        raise ValueError(f"chi must be >= 1, got {chi}")
-    f = candidate_recovery(code, s)
-    reps = logical_class_representatives(code)
-    scores: dict[str, float] = {}
-    for base, with_z in (("I", "Z"), ("X", "Y")):
-        columns = tensor.build_coset_network(code, model, f.mul(reps[base]))
-        scores[base], scores[with_z] = (float(v) for v in tensor.contract_columns(columns, chi))
-    verdict = _argmax_class(scores, _CLASS_ORDER)
-    return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
-
-
-class MpsDecoder:
-    """Approximate ML decoder by boundary-MPS contraction (rotated layout).
-
-    Exact maximum likelihood, by dense contraction, where chi >= 2^floor(j/2);
-    see :func:`mps_decode_rotated`.
     """
 
     name = "mps"
@@ -637,7 +586,17 @@ class MpsDecoder:
         self.params = {"chi": chi}
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
-        return mps_decode_rotated(self.code, self.model, s, self.chi)
+        code = self.code
+        f = candidate_recovery(code, s)
+        reps = logical_class_representatives(code)
+        scores: dict[str, float] = {}
+        for base, with_z in (("I", "Z"), ("X", "Y")):
+            columns = tensor.build_coset_network(code, self.model, f.mul(reps[base]))
+            scores[base], scores[with_z] = (
+                float(v) for v in tensor.contract_columns(columns, self.chi)
+            )
+        verdict = _argmax_class(scores, _CLASS_ORDER)
+        return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
 
 
 def decoder_from_name(name: str, code: StabilizerCode, model: BiasedNoiseModel, chi: int = 8):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.optimize
 
-from .codes import StabilizerCode, syndrome
+from .codes import StabilizerCode, syndrome, syndrome_batch
 from .decoders import MpsDecoder, UnattainableSyndromeError
 from .noise import (
     BiasedNoiseModel,
@@ -36,6 +36,8 @@ __all__ = [
     "ConvergenceResult",
     "FailurePoint",
     "ThresholdFit",
+    "is_stabilizer",
+    "is_stabilizer_batch",
     "estimate_failure_rate",
     "convergence_study",
     "fit_threshold",
@@ -81,13 +83,28 @@ class FailureRateResult:
         return self.trials - self.decoder_errors
 
 
+def is_stabilizer_batch(
+    code: StabilizerCode, x_rows: np.ndarray, z_rows: np.ndarray
+) -> np.ndarray:
+    """Per row i, whether the Pauli (``x_rows[i]``, ``z_rows[i]``) is a stabilizer.
+
+    Membership is over GF(2), so phases are ignored: the X part must lie in
+    the X-check row space and the Z part in the Z-check row space.  Identity
+    rows are members without a reduction, so only the rows that need it
+    reach the reducer: under pure Y on the rotated layout, the failed trials.
+    """
+    member = np.ones(len(x_rows), dtype=bool)
+    rows = np.flatnonzero(x_rows.any(axis=1) | z_rows.any(axis=1))
+    if rows.size:
+        x_left = code.x_solver.reduce_rowspace_batch(x_rows[rows])
+        z_left = code.z_solver.reduce_rowspace_batch(z_rows[rows])
+        member[rows] = ~(x_left.any(axis=1) | z_left.any(axis=1))
+    return member
+
+
 def is_stabilizer(code: StabilizerCode, op: PauliOperator) -> bool:
     """GF(2) membership of op in the stabilizer group (phases ignored)."""
-    if op.x_bits.any() and code.x_solver.reduce_rowspace_batch(op.x_bits.reshape(1, -1)).any():
-        return False
-    if op.z_bits.any() and code.z_solver.reduce_rowspace_batch(op.z_bits.reshape(1, -1)).any():
-        return False
-    return True
+    return bool(is_stabilizer_batch(code, op.x_bits[None], op.z_bits[None])[0])
 
 
 def _digest(x_bits: np.ndarray, z_bits: np.ndarray) -> str:
@@ -105,68 +122,58 @@ def _run_range(
 ) -> tuple[int, int, list[TrialRecord]]:
     """Decode trials [start, start+count); returns (failures, decoder_errors, records).
 
-    Only an UnattainableSyndromeError counts as a decoder error; any other
-    exception (a numerical failure, say) propagates.
+    A decoder with ``decode_batch`` takes each chunk's syndromes at once;
+    any other decodes them one by one.  Either way every recovery is judged
+    here, by stabilizer membership of recovery * error.  Only an
+    UnattainableSyndromeError from a one-by-one decode counts as a decoder
+    error; any other exception (a numerical failure, say) propagates.
     """
     code = decoder.code
-    n = code.n
     key = derive_key(seed)
     failures = 0
     decoder_errors = 0
     records: list[TrialRecord] = []
     params = tuple(sorted(decoder.params.items()))
     batch = getattr(decoder, "decode_batch", None)
+    step = _chunk_size(code.n)
 
-    for lo in range(start, start + count, _chunk_size(n)):
-        hi = min(start + count, lo + _chunk_size(n))
-        uniforms = batch_uniforms(key, lo, hi - lo, n)
-        classes = sample_error_classes_batch(model, uniforms)
+    for lo in range(start, start + count, step):
+        hi = min(start + count, lo + step)
+        classes = sample_error_classes_batch(model, batch_uniforms(key, lo, hi - lo, code.n))
         x_rows = (classes & 1).astype(np.uint8)
         z_rows = (classes >> 1).astype(np.uint8)
         if batch is not None:
-            success, verdicts = batch(x_rows, z_rows)
-            failures += int((~success).sum())
-            if keep_records:
-                for i in range(hi - lo):
-                    records.append(
-                        TrialRecord(
-                            code.id,
-                            decoder.name,
-                            params,
-                            model.p,
-                            model.eta,
-                            lo + i,
-                            _digest(x_rows[i], z_rows[i]),
-                            str(verdicts[i]),
-                            bool(success[i]),
-                        )
-                    )
-            continue
-        for i in range(hi - lo):
-            err = PauliOperator(x_rows[i], z_rows[i])
-            s = syndrome(code, err)
-            try:
-                outcome = decoder.decode(s)
-            except UnattainableSyndromeError:
-                decoder_errors += 1
-                continue
-            ok = is_stabilizer(code, outcome.recovery.mul(err))
-            if not ok:
-                failures += 1
-            if keep_records:
-                records.append(
-                    TrialRecord(
-                        code.id,
-                        decoder.name,
-                        params,
-                        model.p,
-                        model.eta,
-                        lo + i,
-                        _digest(x_rows[i], z_rows[i]),
-                        outcome.verdict or "",
-                        ok,
-                    )
+            recovery_x, recovery_z, verdicts = batch(syndrome_batch(code, x_rows, z_rows))
+            success = is_stabilizer_batch(code, recovery_x ^ x_rows, recovery_z ^ z_rows)
+            decoded = range(hi - lo)
+        else:
+            decoded, verdicts, success = [], [], []
+            for i in range(hi - lo):
+                err = PauliOperator(x_rows[i], z_rows[i])
+                try:
+                    outcome = decoder.decode(syndrome(code, err))
+                except UnattainableSyndromeError:
+                    decoder_errors += 1
+                    continue
+                decoded.append(i)
+                verdicts.append(outcome.verdict or "")
+                success.append(is_stabilizer(code, outcome.recovery.mul(err)))
+        failures += len(decoded) - int(np.count_nonzero(success))
+        if keep_records:
+            records.extend(
+                TrialRecord(
+                    code.id,
+                    decoder.name,
+                    params,
+                    model.p,
+                    model.eta,
+                    lo + i,
+                    _digest(x_rows[i], z_rows[i]),
+                    str(verdict),
+                    bool(ok),
                 )
+                for i, verdict, ok in zip(decoded, verdicts, success)
+            )
     return failures, decoder_errors, records
 
 
@@ -250,8 +257,8 @@ def convergence_study(
     Reports rates shifted by the rate at the largest chi; a point is marked
     converged when its shift is within half the reference standard error.
     """
-    if len(chis) < 2:
-        raise ValueError("convergence_study needs at least two chi values")
+    if len(set(chis)) < 2:
+        raise ValueError(f"convergence_study needs two distinct chi values, got {list(chis)}")
     chi_max = max(chis)
     # Every decoder is built, and so every chi checked, before any decoding.
     decoders = {chi: MpsDecoder(code, model, chi) for chi in dict.fromkeys(chis)}
@@ -359,8 +366,8 @@ def fit_threshold(
     if len(by_distance) < 3:
         raise ValueError(f"need >= 3 distances, got {sorted(by_distance)}")
     for dist, pts in by_distance.items():
-        if len(pts) < 3:
-            raise ValueError(f"distance {dist} has fewer than 3 p-values")
+        if len({pt.p for pt in pts}) < 3:
+            raise ValueError(f"distance {dist} has fewer than 3 distinct p-values")
     if pc_init is None:
         pc_init = float(np.mean([pt.p for pt in points]))
     for dist, pts in by_distance.items():

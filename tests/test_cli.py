@@ -274,6 +274,33 @@ class TestThreshold:
         )
         assert rc == 1 and "distances" in err
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (("-d", "3", "-d", "3", "-d", "5", "--p", "0.3", "--p", "0.35", "--p", "0.4"),
+             "distinct distances"),
+            (("-d", "3", "-d", "5", "-d", "7", "--p", "0.3", "--p", "0.3", "--p", "0.4"),
+             "distinct p-values"),
+        ],
+        ids=["distance", "p"],
+    )
+    def test_repeated_grid_value_counts_once_and_exits_before_decoding(
+        self, capsys, monkeypatch, grid, message
+    ):
+        from ybias import cli
+
+        decoded = []
+        monkeypatch.setattr(
+            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "threshold", "--layout", "rotated", "--eta", "inf", "--decoder", "exact-y",
+            *grid, "--trials", "200", "--seed", "1",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert not decoded
+
 
 class TestConvergence:
     def test_study_reports_reference_row(self, capsys):
@@ -307,6 +334,21 @@ class TestConvergence:
         )
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "--chis" in err
+        assert not decoded
+
+    def test_repeated_chi_counts_once_and_exits_before_decoding(self, capsys, monkeypatch):
+        from ybias import sim
+
+        decoded = []
+        monkeypatch.setattr(
+            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+            "--chis", "4", "--chis", "4", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "distinct chi" in err
         assert not decoded
 
 

@@ -13,6 +13,7 @@ from ybias.codes import (
     construct_y_stabilizer_group,
     propagate_y_from_top,
     syndrome,
+    syndrome_batch,
     y_distance,
     y_logical_count,
 )
@@ -120,6 +121,21 @@ class TestSyndrome:
         code = build_standard_code(2, 2)
         with pytest.raises(ValueError):
             syndrome(code, PauliOperator.identity(code.n + 1))
+        rows = np.zeros((3, code.n), dtype=np.uint8)
+        for x, z in ((rows, rows[:2]), (rows[:, 1:], rows[:, 1:]), (rows[0], rows[0])):
+            with pytest.raises(ValueError):
+                syndrome_batch(code, x, z)
+
+    @pytest.mark.parametrize("layout,j,k", [("standard", 4, 5), ("rotated", 9, 9)])
+    def test_batch_rows_match_the_integer_product(self, layout, j, k):
+        code = (build_rotated_code if layout == "rotated" else build_standard_code)(j, k)
+        rng = np.random.default_rng(5)
+        x, z = (rng.random((2, 50, code.n)) < 0.3).astype(np.uint8)
+        got = syndrome_batch(code, x, z)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, support.batch_syndromes(code, x, z))
+        for i in range(len(x)):
+            assert np.array_equal(syndrome(code, PauliOperator(x[i], z[i])), got[i])
 
 
 class TestPureNoiseDistances:

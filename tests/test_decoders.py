@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import logsumexp
 
 import support
 from ybias import decoders, tensor
-from ybias.codes import build_rotated_code, build_standard_code, syndrome
+from ybias.codes import build_rotated_code, build_standard_code, syndrome, syndrome_batch
 from ybias.decoders import (
     BruteForceDecoder,
     ConcatenatedYDecoder,
@@ -19,22 +20,18 @@ from ybias.decoders import (
     MpsDecoder,
     UnattainableSyndromeError,
     _argmax_class,
-    brute_force_ml_decode,
     candidate_recovery,
-    concatenated_y_decode,
     cycle_decode,
     cycle_decode_batch,
     cycle_failure_bound,
     decoder_from_name,
-    exact_ml_y_decode,
     logical_class_representatives,
-    mps_decode_rotated,
     repetition_decode,
 )
 from ybias.gf2 import matmul_mod2, nullspace_basis, solve
 from ybias.noise import BiasedNoiseModel, sample_error
 from ybias.pauli import PauliOperator
-from ybias.sim import is_stabilizer
+from ybias.sim import is_stabilizer, is_stabilizer_batch
 from ybias.ycode import cycle_code, y_code_structure
 
 PURE_Y = lambda p: BiasedNoiseModel(p=p, eta=math.inf)  # noqa: E731
@@ -166,10 +163,10 @@ def _loop_assembled_y_recovery(code, s):
 
     Rebuilds the block slices from the code's structure and sums each
     block's relative bits and assembles the recovery one block at a time,
-    where ``concatenated_y_decode`` uses precomputed index arrays.
+    where ``ConcatenatedYDecoder.decode`` uses precomputed index arrays.
     """
     tools = decoders._concatenated_tools(code)
-    structure = tools.structure
+    structure = y_code_structure(code.j, code.k, code)
     assert not tools.u_rel[0].any()
     rel_bits = matmul_mod2(tools.u_rel[1:], s)
     base = solve(tools.cycle.checks, matmul_mod2(tools.u_tri, s))
@@ -211,29 +208,26 @@ class TestConcatenated:
     def test_zero_syndrome_returns_identity(self):
         for j, k in [(4, 4), (3, 4)]:
             code = build_standard_code(j, k)
-            structure = y_code_structure(j, k, code)
-            outcome = concatenated_y_decode(
-                structure, code, np.zeros(code.num_checks, dtype=np.uint8)
-            )
+            outcome = ConcatenatedYDecoder(code).decode(np.zeros(code.num_checks, dtype=np.uint8))
             assert outcome.recovery.is_identity
 
     def test_coprime_3x4_corrects_every_single_y_exactly(self):
         code = build_standard_code(3, 4)
-        structure = y_code_structure(3, 4, code)
+        decoder = ConcatenatedYDecoder(code)
         for q in range(code.n):
             e = np.zeros(code.n, dtype=np.uint8)
             e[q] = 1
-            outcome = concatenated_y_decode(structure, code, y_syndrome(code, e))
+            outcome = decoder.decode(y_syndrome(code, e))
             assert np.array_equal(outcome.recovery.x_bits, e)
 
     def test_square_4x4_corrects_up_to_weight_three(self):
         code = build_standard_code(4, 4)
-        structure = y_code_structure(4, 4, code)
+        decoder = ConcatenatedYDecoder(code)
         for w in range(4):
             for supp in itertools.combinations(range(code.n), w):
                 e = np.zeros(code.n, dtype=np.uint8)
                 e[list(supp)] = 1
-                outcome = concatenated_y_decode(structure, code, y_syndrome(code, e))
+                outcome = decoder.decode(y_syndrome(code, e))
                 residual = PauliOperator.y_type(outcome.recovery.x_bits ^ e)
                 assert is_stabilizer(code, residual)
 
@@ -248,12 +242,6 @@ class TestConcatenated:
             outcome = decoder.decode(s)
             assert outcome.recovery.is_y_type
             assert np.array_equal(y_syndrome(code, outcome.recovery.x_bits), s)
-
-    def test_rotated_layout_rejected(self):
-        code = build_rotated_code(3, 3)
-        structure = y_code_structure(3, 4)
-        with pytest.raises(ValueError):
-            concatenated_y_decode(structure, code, np.zeros(code.num_checks, dtype=np.uint8))
 
     def test_decoder_rejects_rotated_layout_by_name(self):
         code = build_rotated_code(3, 3)
@@ -328,17 +316,50 @@ class TestConcatenatedHalfDistance:
             assert np.array_equal(outcome.recovery.x_bits, e)
 
 
+def _exact_y_reference(code, p, s, group):
+    """Exact-y recovery and verdict for one syndrome, by exact rational arithmetic.
+
+    The candidate is the top-row sweep on the standard layout and the
+    canonical GF(2) solution on the rotated one; each coset's probability is
+    summed over ``group``, the Y-type stabilizers.  L must win strictly.
+    """
+    if code.layout == "rotated":
+        cand = code.y_solver.solve(s)
+    else:
+        cand = decoders._standard_y_tools(code).candidate(s)
+    q = Fraction(p)
+
+    def coset_probability(rep):
+        weights = [int((rep ^ g).sum()) for g in group]
+        return sum(q**w * (1 - q) ** (code.n - w) for w in weights)
+
+    logical = code.logical_y.x_bits
+    take_l = coset_probability(cand ^ logical) > coset_probability(cand)
+    return (cand ^ logical, "L") if take_l else (cand, "I")
+
+
+def _assert_batch_matches_reference(code, p, errors):
+    decoder = ExactYDecoder(code, PURE_Y(p))
+    syndromes = syndrome_batch(code, errors, errors)
+    recovery_x, recovery_z, verdicts = decoder.decode_batch(syndromes)
+    assert verdicts.shape == (len(errors),)
+    group, _ = support.split_y_span(code)
+    for s, rx, rz, verdict in zip(syndromes, recovery_x, recovery_z, verdicts):
+        want, want_verdict = _exact_y_reference(code, p, s, group)
+        assert np.array_equal(rx, want) and np.array_equal(rz, want)
+        assert verdict == want_verdict
+
+
 class TestExactML:
     def test_zero_syndrome_is_identity(self):
         for code in (build_standard_code(4, 4), build_rotated_code(5, 5)):
-            outcome = exact_ml_y_decode(code, PURE_Y(0.2), np.zeros(code.num_checks, np.uint8))
+            decoder = ExactYDecoder(code, PURE_Y(0.2))
+            outcome = decoder.decode(np.zeros(code.num_checks, np.uint8))
             assert outcome.verdict == "I"
             assert outcome.recovery.is_identity
 
     def test_finite_bias_rejected(self):
         code = build_rotated_code(3, 3)
-        with pytest.raises(ValueError):
-            exact_ml_y_decode(code, BiasedNoiseModel(p=0.1, eta=10.0), np.zeros(8, np.uint8))
         with pytest.raises(ValueError):
             ExactYDecoder(code, BiasedNoiseModel(p=0.1, eta=10.0))
 
@@ -346,7 +367,8 @@ class TestExactML:
         """Every Y-configuration decodes to the strictly lighter coset member.
 
         All 2^18 Y-configs cover all 2^17 attainable syndromes; the coset of
-        each syndrome is {e, e ^ K} with K the lone kernel generator.
+        each syndrome is {e, e ^ K} with K the lone kernel generator.  Each
+        block is decoded from its syndromes and judged as ``sim`` judges.
         """
         code = build_standard_code(3, 4)
         n = code.n
@@ -362,8 +384,10 @@ class TestExactML:
         chunk = 1 << 14
         for lo in range(0, 1 << n, chunk):
             block = configs[lo : lo + chunk]
-            s, _ = decoder.decode_batch(block, block)
-            success[lo : lo + chunk] = s
+            recovery_x, recovery_z, _ = decoder.decode_batch(syndrome_batch(code, block, block))
+            success[lo : lo + chunk] = is_stabilizer_batch(
+                code, recovery_x ^ block, recovery_z ^ block
+            )
 
         w_self = configs.sum(axis=1)
         w_other = (configs ^ kernel).sum(axis=1)
@@ -393,13 +417,13 @@ class TestExactML:
         """Coset scores and the verdict match a direct sum over the kernel span."""
         code = build_standard_code(4, 4)
         p = 0.3
-        model = PURE_Y(p)
+        decoder = ExactYDecoder(code, PURE_Y(p))
         span = support.y_kernel_span(code)  # 16 zero-syndrome Y-configs
         rng = np.random.default_rng(41)
         for _ in range(120):
             e = (rng.random(code.n) < 0.3).astype(np.uint8)
             s = y_syndrome(code, e)
-            outcome = exact_ml_y_decode(code, model, s)
+            outcome = decoder.decode(s)
             rec = outcome.recovery.x_bits
             assert np.array_equal(y_syndrome(code, rec), s)
             coset = span ^ e  # every Y-config with syndrome s
@@ -418,63 +442,56 @@ class TestExactML:
             assert got == pytest.approx(sorted([pi_rec, pi_other]), rel=1e-12)
 
     # The model's p varies while errors stay sampled at a fixed rate, so
-    # p = 0 and p = 1 exercise the infinite-score ties of both paths.
+    # p = 0 and p = 1 exercise the infinite-score ties.
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_batch_matches_single_rotated(self, p):
         code = build_rotated_code(5, 5)
-        model = PURE_Y(p)
-        decoder = ExactYDecoder(code, model)
         rng = np.random.default_rng(7)
         errors = (rng.random((200, code.n)) < 0.3).astype(np.uint8)
-        success, verdicts = decoder.decode_batch(errors, errors)
-        for e, ok, verdict in zip(errors, success, verdicts):
-            outcome = decoder.decode(y_syndrome(code, e))
-            assert outcome.verdict == verdict
-            assert np.array_equal(y_syndrome(code, outcome.recovery.x_bits), y_syndrome(code, e))
-            expected_ok = is_stabilizer(
-                code, PauliOperator.y_type(outcome.recovery.x_bits ^ e)
-            )
-            assert ok == expected_ok
+        _assert_batch_matches_reference(code, p, errors)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_batch_matches_single_standard(self, p):
         code = build_standard_code(4, 4)
-        model = PURE_Y(p)
-        decoder = ExactYDecoder(code, model)
         rng = np.random.default_rng(8)
         errors = (rng.random((150, code.n)) < 0.35).astype(np.uint8)
-        success, verdicts = decoder.decode_batch(errors, errors)
-        for e, ok, verdict in zip(errors, success, verdicts):
-            outcome = decoder.decode(y_syndrome(code, e))
-            assert outcome.verdict == verdict
-            expected_ok = is_stabilizer(
-                code, PauliOperator.y_type(outcome.recovery.x_bits ^ e)
-            )
-            assert ok == expected_ok
+        _assert_batch_matches_reference(code, p, errors)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda decoder, s: decoder.decode(s), id="decode"),
+            pytest.param(
+                lambda decoder, s: decoder.decode_batch(np.stack([np.zeros_like(s), s])),
+                id="decode_batch",
+            ),
+        ],
+    )
+    def test_unattainable_standard_syndrome_raises(self, call):
+        # A lone Y flips at least two checks of the square 4x4, so no Y-type
+        # error has a unit syndrome.
+        code = build_standard_code(4, 4)
+        decoder = ExactYDecoder(code, PURE_Y(0.2))
+        s = np.zeros(code.num_checks, dtype=np.uint8)
+        s[0] = 1
+        assert not code.y_solver.is_consistent(s)
+        with pytest.raises(UnattainableSyndromeError):
+            call(decoder, s)
 
     def test_tie_probability_half_at_p_half(self):
         # At p = 1/2 both cosets weigh the same; the identity class must win
         # every tie, so the decoder returns its candidate unchanged.
         code = build_rotated_code(3, 3)
-        outcome = exact_ml_y_decode(code, PURE_Y(0.5), np.zeros(code.num_checks, np.uint8))
+        outcome = ExactYDecoder(code, PURE_Y(0.5)).decode(np.zeros(code.num_checks, np.uint8))
         assert outcome.verdict == "I"
         assert outcome.coset_scores["I"] == pytest.approx(outcome.coset_scores["L"])
-
-    def test_non_y_batch_rejected(self):
-        code = build_rotated_code(3, 3)
-        decoder = ExactYDecoder(code, PURE_Y(0.2))
-        x = np.zeros((2, code.n), dtype=np.uint8)
-        z = x.copy()
-        z[0, 0] = 1
-        with pytest.raises(ValueError):
-            decoder.decode_batch(x, z)
 
 
 class TestBruteForce:
     def test_p_zero_zero_syndrome_certain_identity(self):
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.0, eta=0.5)
-        outcome = brute_force_ml_decode(code, model, np.zeros(code.num_checks, np.uint8))
+        outcome = BruteForceDecoder(code, model).decode(np.zeros(code.num_checks, np.uint8))
         assert outcome.verdict == "I"
         assert outcome.coset_scores["I"] == pytest.approx(0.0)
         for label in "XYZ":
@@ -483,6 +500,7 @@ class TestBruteForce:
     def test_coset_sums_match_enumeration_oracle(self):
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.1, eta=0.5)
+        decoder = BruteForceDecoder(code, model)
         rng = np.random.default_rng(19)
         seen = set()
         for _ in range(6):
@@ -490,7 +508,7 @@ class TestBruteForce:
             if s.tobytes() in seen:
                 continue
             seen.add(s.tobytes())
-            outcome = brute_force_ml_decode(code, model, s)
+            outcome = decoder.decode(s)
             expected, total = support.enumerate_coset_probs(code, model, s)
             for label in "IXYZ":
                 assert math.exp(outcome.coset_scores[label]) == pytest.approx(
@@ -502,10 +520,11 @@ class TestBruteForce:
         # Summing all four coset probabilities over every syndrome must give 1.
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.13, eta=3.0)
+        decoder = BruteForceDecoder(code, model)
         total = 0.0
         for value in range(1 << code.num_checks):
             s = np.array([(value >> i) & 1 for i in range(code.num_checks)], dtype=np.uint8)
-            outcome = brute_force_ml_decode(code, model, s)
+            outcome = decoder.decode(s)
             total += sum(math.exp(v) for v in outcome.coset_scores.values())
         assert total == pytest.approx(1.0, rel=1e-9)
 
@@ -539,7 +558,7 @@ class TestMps:
     def test_p_zero_identity_coset_is_certain(self):
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.0, eta=0.5)
-        outcome = mps_decode_rotated(code, model, np.zeros(code.num_checks, np.uint8), chi=8)
+        outcome = MpsDecoder(code, model, 8).decode(np.zeros(code.num_checks, np.uint8))
         assert outcome.verdict == "I"
         assert outcome.coset_scores["I"] == pytest.approx(0.0)
         for label in "XYZ":
@@ -548,32 +567,35 @@ class TestMps:
     def test_agrees_with_exact_on_all_pure_y_syndromes_3x3(self):
         code = build_rotated_code(3, 3)
         model = PURE_Y(0.1)
+        mps, exact = MpsDecoder(code, model, 4), ExactYDecoder(code, model)
         for value in range(1 << code.num_checks):
             s = np.array([(value >> i) & 1 for i in range(code.num_checks)], dtype=np.uint8)
-            mps_out = mps_decode_rotated(code, model, s, chi=4)
-            exact_out = exact_ml_y_decode(code, model, s)
+            mps_out = mps.decode(s)
+            exact_out = exact.decode(s)
             assert support.relative_class(code, mps_out.recovery, exact_out.recovery) == "I"
 
     def test_chi_one_matches_exact_on_5x5_samples(self):
         code = build_rotated_code(5, 5)
         model = PURE_Y(0.3)
+        mps, exact = MpsDecoder(code, model, 1), ExactYDecoder(code, model)
         rng = np.random.default_rng(59)
         for _ in range(60):
             e = (rng.random(code.n) < 0.3).astype(np.uint8)
             s = y_syndrome(code, e)
             full = np.concatenate([s[: code.num_x_checks], s[code.num_x_checks :]])
-            mps_out = mps_decode_rotated(code, model, full, chi=1)
-            exact_out = exact_ml_y_decode(code, model, full)
+            mps_out = mps.decode(full)
+            exact_out = exact.decode(full)
             assert support.relative_class(code, mps_out.recovery, exact_out.recovery) == "I"
 
     def test_chi64_matches_brute_force_cosets_3x3(self):
         code = build_rotated_code(3, 3)
         model = BiasedNoiseModel(p=0.15, eta=0.5)
+        mps, brute = MpsDecoder(code, model, 64), BruteForceDecoder(code, model)
         rng = np.random.default_rng(61)
         for _ in range(40):
             s = syndrome(code, sample_error(model, code.n, rng))
-            mps_out = mps_decode_rotated(code, model, s, chi=64)
-            brute_out = brute_force_ml_decode(code, model, s)
+            mps_out = mps.decode(s)
+            brute_out = brute.decode(s)
             for label in "IXYZ":
                 a, b = mps_out.coset_scores[label], brute_out.coset_scores[label]
                 if b == -np.inf:
@@ -597,12 +619,13 @@ class TestMps:
         model = BiasedNoiseModel(p=0.19, eta=0.5)
         rng = np.random.default_rng(83)
         syndromes = [syndrome(code, sample_error(model, code.n, rng)) for _ in range(200)]
-        before = [mps_decode_rotated(code, model, s, chi).verdict for s in syndromes]
+        decoder = MpsDecoder(code, model, chi)
+        before = [decoder.decode(s).verdict for s in syndromes]
         if perturbation == "chain":
             monkeypatch.setattr(tensor, "_is_exact", lambda rows, chi: False)
         else:
             monkeypatch.setattr(tensor, "_gesdd", tensor._gesvd)
-        assert [mps_decode_rotated(code, model, s, chi).verdict for s in syndromes] == before
+        assert [decoder.decode(s).verdict for s in syndromes] == before
 
     def test_recovery_syndrome_invariant(self):
         code = build_rotated_code(5, 5)
@@ -734,7 +757,7 @@ def test_shared_sweep_scores_match_four_independent_sweeps(distance, eta, p, see
     code = _code("rotated", distance, distance)
     model = BiasedNoiseModel(p=p, eta=eta)
     s = syndrome(code, sample_error(model, code.n, np.random.default_rng(seed)))
-    shared = mps_decode_rotated(code, model, s, chi=64).coset_scores
+    shared = MpsDecoder(code, model, 64).decode(s).coset_scores
     f = candidate_recovery(code, s)
     alone = {
         label: tensor.coset_log_probability(code, model, f.mul(rep), 64)

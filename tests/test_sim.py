@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybias.codes import build_rotated_code, build_standard_code
 from ybias.decoders import (
@@ -15,6 +17,7 @@ from ybias.decoders import (
     MpsDecoder,
     UnattainableSyndromeError,
 )
+from ybias.gf2 import matmul_mod2
 from ybias.noise import BiasedNoiseModel
 from ybias.pauli import PauliOperator
 from ybias.sim import (
@@ -31,6 +34,7 @@ from ybias.sim import (
     fit_threshold,
     format_number,
     is_stabilizer,
+    is_stabilizer_batch,
     json_text,
     write_csv,
     write_json,
@@ -63,6 +67,54 @@ class TestIsStabilizer:
         x_rows = code.x_checks
         dressed = code.logical_x.mul(PauliOperator(x_rows[0], np.zeros(code.n, dtype=np.uint8)))
         assert not is_stabilizer(code, dressed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout_j_k=st.sampled_from(
+        [
+            ("rotated", 3, 3),
+            ("rotated", 5, 5),
+            ("rotated", 9, 9),
+            ("standard", 3, 4),
+            ("standard", 4, 4),
+        ]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_judge_matches_the_per_row_reducer(layout_j_k, seed):
+    """Zero rows, stabilizers, dressed logicals and random rows, shuffled."""
+    layout, j, k = layout_j_k
+    code = (build_rotated_code if layout == "rotated" else build_standard_code)(j, k)
+    rng = np.random.default_rng(seed)
+    count = 6
+
+    def members(checks):
+        return matmul_mod2(rng.integers(0, 2, (count, checks.shape[0]), dtype=np.uint8), checks)
+
+    zero = np.zeros((count, code.n), dtype=np.uint8)
+    stab_x, stab_z = members(code.x_checks), members(code.z_checks)
+    logicals = [code.logical_x, code.logical_z, code.logical_x.mul(code.logical_z)]
+    dressed = [logicals[i] for i in rng.integers(0, 3, count)]
+    random_x, random_z = rng.integers(0, 2, (2, count, code.n), dtype=np.uint8)
+    dressed_x = np.array([op.x_bits for op in dressed]) ^ stab_x
+    dressed_z = np.array([op.z_bits for op in dressed]) ^ stab_z
+    x = np.vstack([zero, stab_x, zero, stab_x, dressed_x, random_x])
+    z = np.vstack([zero, zero, stab_z, stab_z, dressed_z, random_z])
+    kinds = np.repeat([1, 1, 1, 1, 0, -1], count)  # 1 member, 0 not a member, -1 unknown
+    order = rng.permutation(len(x))
+    x, z, kinds = x[order], z[order], kinds[order]
+
+    reference = np.array(
+        [
+            not code.x_solver.reduce_rowspace_batch(x[i : i + 1]).any()
+            and not code.z_solver.reduce_rowspace_batch(z[i : i + 1]).any()
+            for i in range(len(x))
+        ]
+    )
+    assert reference[kinds == 1].all() and not reference[kinds == 0].any()
+    assert np.array_equal(is_stabilizer_batch(code, x, z), reference)
+    assert [is_stabilizer(code, PauliOperator(a, b)) for a, b in zip(x, z)] == reference.tolist()
 
 
 class _RejectingDecoder:
@@ -201,6 +253,17 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(code, PURE_Y, (4,), 10, seed=0)
 
+    def test_repeated_chi_is_one_bond_dimension(self, monkeypatch):
+        import ybias.sim
+
+        decoded = []
+        monkeypatch.setattr(
+            ybias.sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        with pytest.raises(ValueError, match="distinct chi"):
+            convergence_study(build_rotated_code(3, 3), PURE_Y, (4, 4), 10, seed=0)
+        assert not decoded
+
 
 def synthetic_points(pc, nu, coeffs, distances, ps, noise=0.0):
     a, b, c = coeffs
@@ -250,6 +313,9 @@ class TestThresholdFit:
         trimmed = [pt for pt in good if (pt.distance, pt.p) != (9, 0.56)]
         with pytest.raises(ValueError, match="fewer than 3"):
             fit_threshold(trimmed)
+        repeated = trimmed + [pt for pt in good if (pt.distance, pt.p) == (9, 0.5)]
+        with pytest.raises(ValueError, match="fewer than 3 distinct"):
+            fit_threshold(repeated)
         with pytest.raises(ValueError, match="bracket"):
             fit_threshold(good, pc_init=0.6)
 
