@@ -243,6 +243,12 @@ class TestConcatenated:
             assert outcome.recovery.is_y_type
             assert np.array_equal(y_syndrome(code, outcome.recovery.x_bits), s)
 
+    def test_rotated_layout_rejected(self):
+        for d in (3, 5, 7):
+            code = build_rotated_code(d, d)
+            with pytest.raises(ValueError):
+                ConcatenatedYDecoder(code)
+
     def test_decoder_rejects_rotated_layout_by_name(self):
         code = build_rotated_code(3, 3)
         for build in (
