@@ -382,29 +382,30 @@ class _ConcatenatedTools:
 
         # Boundary qubits are read out directly by weight-1 combinations.
         self.boundary = np.array(structure.boundary_zero_qubits, dtype=np.int64)
-        rows = [functional(unit(q)) for q in self.boundary]
-        self.u_boundary = np.array(rows, dtype=np.uint8).reshape(len(rows), code.num_checks)
+        u_boundary = [functional(unit(q)) for q in self.boundary]
 
         # In-block relative bits against each block's reference qubit (its
         # first member).  Row 0 of u_rel is zero: the reference's own bit.
         blocks = [members for _, members in structure.repetition_blocks]
-        rel_rows = [np.zeros(code.num_checks, dtype=np.uint8)]
+        u_rel = [np.zeros(code.num_checks, dtype=np.uint8)]
         first_rel = []
         for members in blocks:
-            first_rel.append(len(rel_rows))
-            rel_rows.extend(functional(unit(members[0]) ^ unit(q)) for q in members[1:])
-        self.u_rel = np.array(rel_rows, dtype=np.uint8)
+            first_rel.append(len(u_rel))
+            u_rel.extend(functional(unit(members[0]) ^ unit(q)) for q in members[1:])
 
         # One parity bit per triangle of K_{g+1}, over block reference qubits.
         edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
         block_of_edge = [edge_to_block[e] for e in self.cycle.edges]
-        tri_rows = []
+        u_tri = []
         for a, b, c in self.cycle.triangles:
             target = np.zeros(code.n, dtype=np.uint8)
             for e in ((a, b), (b, c), (a, c)):
                 target ^= unit(blocks[edge_to_block[e]][0])
-            tri_rows.append(functional(target))
-        self.u_tri = np.array(tri_rows, dtype=np.uint8).reshape(len(tri_rows), code.num_checks)
+            u_tri.append(functional(target))
+        # One product converts a syndrome; ``parts`` slices out the three kinds of bits.
+        self.conversion = np.array(u_boundary + u_rel + u_tri, dtype=np.uint8)
+        rel_start, tri_start = len(u_boundary), len(u_boundary) + len(u_rel)
+        self.parts = (slice(0, rel_start), slice(rel_start, tri_start), slice(tri_start, None))
 
         # Every block member, edge by edge: its qubit, its edge, and its row
         # of u_rel.  A one-member block holds only its reference (row 0).
@@ -432,13 +433,16 @@ def _concatenated_tools(code: StabilizerCode) -> _ConcatenatedTools:
 class ConcatenatedYDecoder:
     """Level-by-level decoding of a pure-Y syndrome on a standard code.
 
-    The surface syndrome is converted by precomputed GF(2) combinations into
-    boundary-qubit readouts, in-block relative patterns, and triangle parity
-    bits of the top-level cycle code.  The bottom level fixes each block up
-    to one unknown bit; the top level then selects, among the 2^g candidate
-    bit patterns (a particular solution shifted by the cut space of K_{g+1}),
-    the one of minimum total qubit weight.  Corrects every error of weight
-    at most (d_Y - 1)/2.
+    The surface syndrome is converted, by one product with a precomputed
+    stack of GF(2) combinations, into boundary-qubit readouts, in-block
+    relative patterns, and triangle parity bits of the top-level cycle code.
+    The bottom level fixes each block up to one unknown bit; the top level
+    then selects, among the 2^g candidate bit patterns (a particular
+    solution shifted by the cut space of K_{g+1}), the one of minimum total
+    qubit weight.  The particular solution comes from :func:`gf2.solve` on
+    the fixed K_{g+1} check matrix, which is factored once and then served
+    from gf2's solver cache.  Corrects every error of weight at most
+    (d_Y - 1)/2.
     """
 
     name = "concatenated-y"
@@ -456,10 +460,8 @@ class ConcatenatedYDecoder:
         if not tools.solver.is_consistent(s):
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
 
-        boundary_bits = matmul_mod2(tools.u_boundary, s)
-        rel_bits = matmul_mod2(tools.u_rel, s)
-        tri_bits = matmul_mod2(tools.u_tri, s)
-
+        bits = matmul_mod2(tools.conversion, s)
+        boundary_bits, rel_bits, tri_bits = (bits[part] for part in tools.parts)
         base = solve(tools.cycle.checks, tri_bits)
         if base is None:
             raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
@@ -533,6 +535,7 @@ class BruteForceDecoder:
         self.code = code
         self.model = model
         self.params: dict = {}
+        self._reps = logical_class_representatives(code)
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
         code = self.code
@@ -540,16 +543,15 @@ class BruteForceDecoder:
         n = code.n
         logp = self.model.log_class_probs
         scores: dict[str, float] = {}
-        reps = logical_class_representatives(code)
         for label in _CLASS_ORDER:
-            base = f.mul(reps[label]).symplectic()
+            base = f.mul(self._reps[label]).symplectic()
             ops = self._tools.group ^ base
             cats = ops[:, :n] + 2 * ops[:, n:]
             with np.errstate(invalid="ignore"):
                 per_op = logp[cats].sum(axis=1)
             scores[label] = float(logsumexp(per_op))
         verdict = _argmax_class(scores, _CLASS_ORDER)
-        return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
+        return DecodeOutcome(f.mul(self._reps[verdict]), verdict, scores)
 
 
 # -- rotated-layout MPS decoder -------------------------------------------
@@ -584,19 +586,19 @@ class MpsDecoder:
         self.model = model
         self.chi = chi
         self.params = {"chi": chi}
+        self._reps = logical_class_representatives(code)
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
         code = self.code
         f = candidate_recovery(code, s)
-        reps = logical_class_representatives(code)
         scores: dict[str, float] = {}
         for base, with_z in (("I", "Z"), ("X", "Y")):
-            columns = tensor.build_coset_network(code, self.model, f.mul(reps[base]))
+            columns = tensor.build_coset_network(code, self.model, f.mul(self._reps[base]))
             scores[base], scores[with_z] = (
                 float(v) for v in tensor.contract_columns(columns, self.chi)
             )
         verdict = _argmax_class(scores, _CLASS_ORDER)
-        return DecodeOutcome(f.mul(reps[verdict]), verdict, scores)
+        return DecodeOutcome(f.mul(self._reps[verdict]), verdict, scores)
 
 
 def decoder_from_name(name: str, code: StabilizerCode, model: BiasedNoiseModel, chi: int = 8):

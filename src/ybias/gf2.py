@@ -7,10 +7,16 @@ reduction packs rows into 64-bit words (little-endian bit order within each
 word), privately, and unpacks its result.  All public operations are pure:
 they never mutate their inputs, so matrices and the solver helpers built
 from them are safe to share across threads.
+
+:func:`solve` factors each distinct matrix once: it keeps a bounded cache of
+:class:`Gf2Solver` objects keyed by the matrix's shape and bytes, so repeated
+systems with the same matrix cost two products each, and a matrix edited in
+place is factored afresh.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,20 +120,22 @@ def rank(M: np.ndarray) -> int:
     return len(rref(M)[1])
 
 
+@lru_cache(maxsize=64)
+def _cached_solver(shape: tuple[int, int], data: bytes) -> Gf2Solver:
+    return Gf2Solver(np.frombuffer(data, dtype=np.uint8).reshape(shape))
+
+
 def solve(M: np.ndarray, b: Iterable[int] | np.ndarray) -> np.ndarray | None:
     """Solve Mx = b over GF(2).
 
     Returns the canonical particular solution with all free variables fixed
     to 0 under RREF pivot ordering, or None if the system is inconsistent.
+    The solution is a fresh array.  M is validated first, then solved by a
+    :class:`Gf2Solver` cached per matrix contents (shape and bytes, not the
+    object), so only the first call with a given matrix row-reduces it.
     """
     M = _as_bit_matrix(M)
-    rows, cols = M.shape
-    reduced, pivots = _reduce(np.hstack([M, _as_bit_array(b, rows).reshape(-1, 1)]))
-    if pivots and pivots[-1] == cols:
-        return None  # a pivot in the augmented column: 0 = 1
-    x = np.zeros(cols, dtype=np.uint8)
-    x[pivots] = reduced[: len(pivots), cols]
-    return x
+    return _cached_solver(M.shape, M.tobytes()).solve(b)
 
 
 def nullspace_basis(M: np.ndarray) -> list[np.ndarray]:
@@ -155,9 +163,10 @@ def in_rowspace(M: np.ndarray, v: Iterable[int] | np.ndarray) -> bool:
 class Gf2Solver:
     """Precomputed solver for repeated systems Mx = b with fixed M.
 
-    Exposes the same canonical solution as :func:`solve` but as a matrix
-    product, so large batches of right-hand sides can be solved with one
-    mod-2 matmul.  Also provides a membership reducer for the row space.
+    Gives the canonical solution as a matrix product (:func:`solve` runs on
+    a cached instance), so large batches of right-hand sides can be solved
+    with one mod-2 matmul.  Also provides a membership reducer for the row
+    space.
     """
 
     def __init__(self, M: np.ndarray):
@@ -165,9 +174,10 @@ class Gf2Solver:
         self.rows, self.cols = M.shape
         # RREF of [M | I] = [R | T] with R = T M.
         dense, pivots = _reduce(np.hstack([M, np.eye(self.rows, dtype=np.uint8)]))
-        pivots = [c for c in pivots if c < self.cols]
+        pivots = np.array([c for c in pivots if c < self.cols], dtype=np.intp)
+        pivots.setflags(write=False)
         self.pivots = pivots
-        self.rank = len(pivots)
+        self.rank = pivots.size
         transform = dense[:, self.cols :]
         # x = S b: row of S at each pivot column copies the matching transformed row.
         scatter = np.zeros((self.cols, self.rows), dtype=np.uint8)

@@ -167,9 +167,10 @@ def _loop_assembled_y_recovery(code, s):
     """
     tools = decoders._concatenated_tools(code)
     structure = y_code_structure(code.j, code.k, code)
-    assert not tools.u_rel[0].any()
-    rel_bits = matmul_mod2(tools.u_rel[1:], s)
-    base = solve(tools.cycle.checks, matmul_mod2(tools.u_tri, s))
+    u_boundary, u_rel, u_tri = (tools.conversion[part] for part in tools.parts)
+    assert not u_rel[0].any()
+    rel_bits = matmul_mod2(u_rel[1:], s)
+    base = solve(tools.cycle.checks, matmul_mod2(u_tri, s))
     block_members = [np.array(members) for _, members in structure.repetition_blocks]
     rel_slices, pos = [], 0
     for members in block_members:
@@ -184,7 +185,7 @@ def _loop_assembled_y_recovery(code, s):
     costs = candidates.astype(np.int64) @ (block_lengths - 2 * w_edge) + w_edge.sum()
     best = candidates[int(np.argmin(costs))]
     y = np.zeros(code.n, dtype=np.uint8)
-    y[tools.boundary] = matmul_mod2(tools.u_boundary, s)
+    y[tools.boundary] = matmul_mod2(u_boundary, s)
     for edge_idx, block_idx in enumerate(block_of_edge):
         a, b = rel_slices[block_idx]
         bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ybias import gf2
 from ybias.gf2 import (
     Gf2Solver,
     in_rowspace,
@@ -26,8 +27,10 @@ class TestInputChecks:
         for bad in ([[0, 2]], [0, 1], [[[0, 1]]]):  # a 2, then 1-D, then 3-D
             with pytest.raises(ValueError):
                 rank(bad)
+            misses = gf2._cached_solver.cache_info().misses
             with pytest.raises(ValueError):
                 solve(bad, [0])
+            assert gf2._cached_solver.cache_info().misses == misses  # nothing cached
             with pytest.raises(ValueError):
                 Gf2Solver(bad)
 
@@ -90,6 +93,56 @@ def test_rref_is_idempotent(m):
 def test_every_row_is_in_own_rowspace(m):
     for row in m:
         assert in_rowspace(m, row)
+
+
+def _augmented_rref_solution(m, b):
+    """Canonical solution read off a fresh RREF of [M | b]; None when inconsistent."""
+    cols = m.shape[1]
+    reduced, pivots = rref(np.hstack([m, b.reshape(-1, 1)]))
+    if pivots and pivots[-1] == cols:
+        return None  # a pivot in the augmented column: 0 = 1
+    x = np.zeros(cols, dtype=np.uint8)
+    x[pivots] = reduced[: len(pivots), cols]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(0, 8), st.one_of(st.integers(0, 8), st.integers(60, 140))).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
+    ),
+    st.data(),
+)
+def test_solve_follows_matrix_contents(m, data):
+    """solve's cached solvers answer for the matrix's current contents.
+
+    The same writable matrix is solved twice, then edited in place and
+    solved again; every answer must equal the canonical solution of a fresh
+    RREF of [M | b].  Editing a returned solution must not reach the cache.
+    """
+    rows, cols = m.shape
+
+    def rhs():
+        if data.draw(st.booleans()):  # consistent by construction
+            return matmul_mod2(m, data.draw(arrays(np.uint8, cols, elements=st.integers(0, 1))))
+        return data.draw(arrays(np.uint8, rows, elements=st.integers(0, 1)))
+
+    def check(b):
+        want = _augmented_rref_solution(m, b)
+        x = solve(m, b)
+        if want is None:
+            assert x is None
+            return
+        assert x is not None and x.flags.writeable
+        assert np.array_equal(x, want)
+        x ^= 1
+        assert np.array_equal(solve(m, b), want)
+
+    for _ in range(2):
+        check(rhs())
+    if m.size:
+        m[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] ^= 1
+        check(rhs())
 
 
 @settings(max_examples=60, deadline=None)
