@@ -18,6 +18,8 @@ only when X-type, so X strings terminate on the left/right boundaries.
 Check matrices are read-only 2-D uint8 arrays of 0/1 entries, one row per
 check and one column per qubit: ``x_checks``, ``z_checks`` and their stack
 ``y_checks`` (X rows first), which is the parity map seen by Y-type errors.
+Syndromes are computed sparsely: ``support_index`` lists each check's few
+qubits, and :func:`syndrome_batch` gathers and XORs those bits.
 """
 
 from __future__ import annotations
@@ -109,6 +111,22 @@ class StabilizerCode:
     def y_checks(self) -> np.ndarray:
         """Incidence of every check on every qubit: the parity map seen by Y-type errors."""
         return _read_only(np.vstack([self.x_checks, self.z_checks]))
+
+    @cached_property
+    def support_index(self) -> np.ndarray:
+        """Each check's qubits as columns of the block ``[z | x | 0]``, for :func:`syndrome_batch`.
+
+        Shape (width, num_checks), width the largest check weight (4 on both
+        layouts); column i lists check i's qubits, X checks (which read Z
+        bits) at q and Z checks at n + q, padded with the zero column 2n.
+        Read-only.
+        """
+        checks, qubits = np.nonzero(self.y_checks)  # row-major: grouped by check
+        slots = np.arange(checks.size) - np.searchsorted(checks, checks)
+        index = np.full((int(np.bincount(checks).max()), self.num_checks), 2 * self.n, dtype=np.intp)
+        index[slots, checks] = qubits + self.n * (checks >= self.num_x_checks)
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def x_solver(self) -> Gf2Solver:
@@ -353,14 +371,22 @@ def syndrome_batch(code: StabilizerCode, x_rows: np.ndarray, z_rows: np.ndarray)
     """Syndromes of many Paulis, row i from X part ``x_rows[i]`` and Z part ``z_rows[i]``.
 
     Each row holds the anticommutation bit per generator: X-check bits
-    first, then Z-check bits.
+    first, then Z-check bits, as a fresh (count, num_checks) uint8 array.
+    The bits are copied once into a transposed (2n + 1, count) byte block
+    ``[z | x | 0]``; one gather by ``code.support_index`` picks each
+    check's qubits (whole rows of the block), and an XOR over the support
+    width gives the syndrome, so no product is taken.
     """
     shape, z_shape = np.shape(x_rows), np.shape(z_rows)
     if len(shape) != 2 or shape != z_shape or shape[1] != code.n:
         raise ValueError(f"expected two (count, {code.n}) bit blocks, got {shape} and {z_shape}")
-    sx = matmul_mod2(z_rows, code.x_checks.T)
-    sz = matmul_mod2(x_rows, code.z_checks.T)
-    return np.concatenate([sx, sz], axis=1)
+    n, index = code.n, code.support_index
+    block = np.empty((2 * n + 1, shape[0]), dtype=np.uint8)
+    block[:n] = np.transpose(z_rows)
+    block[n : 2 * n] = np.transpose(x_rows)
+    block[2 * n] = 0
+    picked = np.take(block, index.ravel(), axis=0).reshape(index.shape + (shape[0],))
+    return np.ascontiguousarray(np.bitwise_xor.reduce(picked, axis=0).T)
 
 
 def syndrome(code: StabilizerCode, e: PauliOperator) -> np.ndarray:

@@ -320,8 +320,8 @@ class ExactYDecoder:
         """Recoveries, verdicts and (I, L) coset scores for a (trials, checks) block."""
         code = self.code
         syndromes = np.asarray(syndromes, dtype=np.uint8)
-        cands = code.y_solver.solve_batch(syndromes)
-        if matmul_mod2(syndromes, code.y_solver.consistency_matrix.T).any():
+        cands, attainable = code.y_solver.solve_batch(syndromes)
+        if not attainable.all():
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
         if self._candidate_rows is not None:
             cands = matmul_mod2(cands, self._candidate_rows)

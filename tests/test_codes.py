@@ -126,7 +126,10 @@ class TestSyndrome:
             with pytest.raises(ValueError):
                 syndrome_batch(code, x, z)
 
-    @pytest.mark.parametrize("layout,j,k", [("standard", 4, 5), ("rotated", 9, 9)])
+    # 2x3 standard and 3x3 rotated have weight-2 and weight-3 boundary checks.
+    @pytest.mark.parametrize(
+        "layout,j,k", [("standard", 4, 5), ("rotated", 9, 9), ("standard", 2, 3), ("rotated", 3, 3)]
+    )
     def test_batch_rows_match_the_integer_product(self, layout, j, k):
         code = (build_rotated_code if layout == "rotated" else build_standard_code)(j, k)
         rng = np.random.default_rng(5)
@@ -136,6 +139,24 @@ class TestSyndrome:
         assert np.array_equal(got, support.batch_syndromes(code, x, z))
         for i in range(len(x)):
             assert np.array_equal(syndrome(code, PauliOperator(x[i], z[i])), got[i])
+
+    def test_batch_accepts_bool_and_int_bits_and_empty_blocks(self):
+        code = build_rotated_code(5, 5)
+        rng = np.random.default_rng(11)
+        x, z = (rng.random((2, 20, code.n)) < 0.4).astype(np.uint8)
+        want = syndrome_batch(code, x, z)
+        for dtype in (bool, np.int64):
+            got = syndrome_batch(code, x.astype(dtype), z.astype(dtype))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+        empty = syndrome_batch(code, x[:0], z[:0])
+        assert empty.dtype == np.uint8 and empty.shape == (0, code.num_checks)
+
+    def test_support_index_is_read_only(self):
+        index = build_standard_code(3, 4).support_index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
 
 
 class TestPureNoiseDistances:

@@ -168,7 +168,8 @@ def test_solver_batch_matches_single(m, data):
     for _ in range(5):
         b = data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1]))
         rows.append(matmul_mod2(m, b))  # guaranteed consistent
-    batch = solver.solve_batch(np.stack(rows))
+    batch, consistent = solver.solve_batch(np.stack(rows))
+    assert consistent.all()
     for b, x in zip(rows, batch):
         assert np.array_equal(solver.solve(b), x)
         assert np.array_equal(matmul_mod2(m, x), b)
@@ -235,3 +236,48 @@ def test_matmul_mod2_rejects_inexact_inner_dimension():
     b = np.broadcast_to(np.uint8(1), (1 << 24,))
     with pytest.raises(ValueError):
         matmul_mod2(a, b)
+
+
+def _rref_solution(m, b):
+    """Canonical solution of m x = b from a fresh RREF of [m | b], or None if inconsistent."""
+    cols = m.shape[1]
+    reduced, pivots = rref(np.hstack([m, b[:, None]]))
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    x[pivots] = reduced[: len(pivots), cols]
+    return x
+
+
+# The tables split rows into bytes and pack columns into 64-bit words, so
+# these shapes cross every byte edge up to two bytes and the word edges.
+@pytest.mark.parametrize("rows", [*range(18), 63, 64, 65])
+def test_solve_batch_table_product_matches_references(rows):
+    rng = np.random.default_rng(rows)
+    for cols in (0, 1, 2, 63, 64, 65, 127, 128, 129):
+        m = (rng.random((rows, cols)) < 0.5).astype(np.uint8)
+        if rows >= 3:
+            m[-1] = m[0] ^ m[1]  # rank-deficient: some right-hand sides are inconsistent
+        solver = Gf2Solver(m)
+        attained = matmul_mod2((rng.random((4, cols)) < 0.5).astype(np.uint8), m.T)
+        arbitrary = (rng.random((4, rows)) < 0.5).astype(np.uint8)
+        for B in (np.vstack([attained, arbitrary]), np.zeros((0, rows), dtype=np.uint8)):
+            X, consistent = solver.solve_batch(B)
+            S = solver.solution_matrix.T.astype(np.uint64)
+            C = solver.consistency_matrix.T.astype(np.uint64)
+            assert X.dtype == np.uint8 and X.shape == (len(B), cols)
+            assert np.array_equal(X, (B.astype(np.uint64) @ S) & 1)
+            assert np.array_equal(consistent, ~((B.astype(np.uint64) @ C) & 1).any(axis=1))
+            for b, x, ok in zip(B, X, consistent):
+                want = _rref_solution(m, b)
+                assert ok == (want is not None)
+                if ok:
+                    assert np.array_equal(x, want)
+        assert not solver._tables.flags.writeable
+        X, consistent = solver.solve_batch(arbitrary)
+        assert X.flags.writeable and consistent.flags.writeable
+        assert not np.shares_memory(X, solver._tables)
+        X ^= 1
+        consistent ^= True
+        again, still = solver.solve_batch(arbitrary)
+        assert np.array_equal(again ^ 1, X) and np.array_equal(~still, consistent)

@@ -1,9 +1,12 @@
-"""The benchmark tracer still finds and reaches every call site it patches.
+"""The benchmark's own checks, run early against ``src/``.
 
 ``perfbench/spans.py`` patches decoder methods and module attributes by
 name (``vars(owner)[attr]``), and the traced benchmark run requires each
 workload's ``expected_spans`` to record calls.  A renamed or bypassed call
-site in ``src/`` would fail that run; these tests fail first.
+site in ``src/`` would fail that run; these tests fail first.  Every
+benchmark run also decodes each workload's reference batch and compares
+its failure count with ``perfbench/workloads.py``; a kernel change that
+flips a count fails here first too.
 """
 
 import importlib.util
@@ -71,18 +74,35 @@ def test_one_decode_reaches_every_patched_call_site(name):
     assert [span for span in expected if tracer.totals[span][2] == 0] == []
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_records_its_expected_spans(name):
-    """A short traced run of each benchmark workload, set up as its worker does."""
-    wl = workloads.WORKLOADS[name]
+def _workload_setup(wl, make_decoder=decoders.decoder_from_name):
+    """Code, model and decoder of a benchmark workload, set up as its worker does."""
     build = codes.build_rotated_code if wl.layout == "rotated" else codes.build_standard_code
     code = build(wl.size, wl.size)
     model = BiasedNoiseModel(wl.p, wl.eta)
     chi = {} if wl.chi is None else {"chi": wl.chi}
+    return code, model, make_decoder(wl.decoder, code, model, **chi)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_records_its_expected_spans(name):
+    """A short traced run of each benchmark workload."""
+    wl = workloads.WORKLOADS[name]
     tracer = spans.Tracer()
-    decoder = tracer.wrapper("decoders.init", decoders.decoder_from_name)(wl.decoder, code, model, **chi)
+    code, model, decoder = _workload_setup(wl, tracer.wrapper("decoders.init", decoders.decoder_from_name))
     spans.instrument(tracer, type(decoder))
     with tracer.active():
         result = sim.estimate_failure_rate(code, decoder, model, wl.batch_trials, 5, workers=1)
     assert result.decoder_errors == 0
     assert [span for span in wl.expected_spans if tracer.totals[span][2] == 0] == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_reference_counts(name):
+    """The default-seed reference batch gives the failure count the benchmark's gate expects."""
+    wl = workloads.WORKLOADS[name]
+    code, model, decoder = _workload_setup(wl)
+    ref = sim.estimate_failure_rate(
+        code, decoder, model, wl.reference_trials, workloads.DEFAULT_SEED, workers=1
+    )
+    assert ref.decoder_errors == 0
+    assert abs(ref.failures - wl.reference_failures) <= wl.failure_tolerance
