@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import tensor
 from .codes import (
@@ -166,6 +165,25 @@ def cycle_failure_bound(m: int, p: float) -> float:
 # -- shared Y-decoding machinery ------------------------------------------
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis`` (all axes for None), shifted by the maximum.
+
+    The steps are those of ``scipy.special.logsumexp`` (scipy >= 1.15): the
+    m maxima of a slice leave the sum, and the result is
+    a_max + log(m) + log1p(s / m) for the sum s of exp(a - a_max) over the
+    rest.  So a length-1 slice returns its entry exactly, and an
+    all-(-inf) slice returns -inf.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+    return np.squeeze(np.where(np.isfinite(a_max), out, a_max), axis=axis)[()]
+
+
 def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
     """log sum of p^w (1-p)^(n-w) over the last axis of the coset weights."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -173,7 +191,7 @@ def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
         return np.where((weights == 0).any(axis=-1), 0.0, -np.inf)
     if p >= 1.0:
         return np.where((weights == n).any(axis=-1), 0.0, -np.inf)
-    return logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p), axis=-1)
+    return _logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p), axis=-1)
 
 
 def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p: float):
@@ -190,10 +208,23 @@ def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p:
     return score_i, score_l, score_l > score_i + _TIE_TOLERANCE
 
 
+# Bound on the bytes of the standard-layout Y-stabilizer group, 2^(g-1) rows
+# of n bits: standard 17x17 (about 36 MB) fits, 19x19 does not.
+_Y_GROUP_MAX_BYTES = 2**26
+
+
 class _StandardYTools:
     """Per-code cache for pure-Y decoding on a standard-layout code."""
 
     def __init__(self, code: StabilizerCode):
+        g = code.family.g
+        group_bytes = 2 ** (g - 1) * code.n
+        if group_bytes > _Y_GROUP_MAX_BYTES:
+            raise ValueError(
+                f"{code.id}: exact-y enumerates 2^(g-1) Y-type stabilizers (g = {g}), "
+                f"{group_bytes} bytes for n = {code.n}, above the bound of "
+                f"{_Y_GROUP_MAX_BYTES} bytes"
+            )
         self.code = code
         self.solver = code.y_solver
         gens = construct_y_stabilizer_group(code)
@@ -298,6 +329,8 @@ class ExactYDecoder:
     class.  On the rotated layout the only Y-type stabilizer is the
     identity and the candidate is the canonical GF(2) solution; on the
     standard layout it is the top-row sweep of :class:`_StandardYTools`.
+    A standard code whose 2^(g-1) Y-type stabilizers of n bits exceed
+    ``_Y_GROUP_MAX_BYTES`` is rejected with ValueError before any is built.
     """
 
     name = "exact-y"
@@ -549,7 +582,7 @@ class BruteForceDecoder:
             cats = ops[:, :n] + 2 * ops[:, n:]
             with np.errstate(invalid="ignore"):
                 per_op = logp[cats].sum(axis=1)
-            scores[label] = float(logsumexp(per_op))
+            scores[label] = float(_logsumexp(per_op))
         verdict = _argmax_class(scores, _CLASS_ORDER)
         return DecodeOutcome(f.mul(self._reps[verdict]), verdict, scores)
 

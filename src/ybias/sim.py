@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .codes import StabilizerCode, syndrome, syndrome_batch
 from .decoders import MpsDecoder, UnattainableSyndromeError
@@ -140,8 +139,8 @@ def _run_range(
     for lo in range(start, start + count, step):
         hi = min(start + count, lo + step)
         classes = sample_error_classes_batch(model, batch_uniforms(key, lo, hi - lo, code.n))
-        x_rows = (classes & 1).astype(np.uint8)
-        z_rows = (classes >> 1).astype(np.uint8)
+        x_rows = classes & 1
+        z_rows = classes >> 1
         if batch is not None:
             recovery_x, recovery_z, verdicts = batch(syndrome_batch(code, x_rows, z_rows))
             success = is_stabilizer_batch(code, recovery_x ^ x_rows, recovery_z ^ z_rows)
@@ -326,6 +325,8 @@ def _floored_stderr(pt: FailurePoint) -> float:
 def _fit_once(
     points: Sequence[FailurePoint], nu_init: float, pc_init: float
 ) -> np.ndarray:
+    import scipy.optimize  # here, not at module level: no other sim path needs scipy
+
     d = np.array([pt.distance for pt in points], dtype=np.float64)
     p = np.array([pt.p for pt in points], dtype=np.float64)
     f = np.array([pt.rate for pt in points], dtype=np.float64)
@@ -357,7 +358,9 @@ def fit_threshold(
     """Critical-exponent crossing fit f = A + Bx + Cx^2, x = (p - p_c) d^(1/nu).
 
     Weighted least squares over all points; the quoted uncertainty is the
-    jackknife spread over leave-one-distance-out refits.
+    jackknife spread over leave-one-distance-out refits.  The fit runs on
+    ``scipy.optimize.least_squares``, which is imported on the first call:
+    this is the one ``sim`` function that needs scipy.
     """
     points = list(data)
     by_distance: dict[int, list[FailurePoint]] = {}

@@ -32,7 +32,9 @@ j and chi alone:
   reshaped views, and the sweeps call LAPACK ``geqrf``/``orgqr`` and
   ``gesdd`` directly, because at these block sizes (at most a few dozen
   rows) the generic ``np.linalg.qr``/``scipy.linalg.svd`` wrappers cost
-  more than the arithmetic.
+  more than the arithmetic.  The routines are looked up from
+  ``scipy.linalg.lapack`` on first use, so scipy is imported only by a
+  truncating contraction.
 
 One sweep serves two cosets.  Z on every qubit of the last column k is a
 logical Z: it differs from the column-1 string ``code.logical_z`` by the
@@ -54,7 +56,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .codes import StabilizerCode, rotated_face_included, rotated_face_is_x
 from .noise import BiasedNoiseModel
@@ -348,9 +349,29 @@ def build_coset_network(
     ]
 
 
-_geqrf, _orgqr, _gesdd, _gesvd = scipy.linalg.lapack.get_lapack_funcs(
-    ("geqrf", "orgqr", "gesdd", "gesvd"), dtype=np.float64
-)
+@lru_cache(maxsize=None)
+def _lapack(name: str):
+    """The float64 LAPACK routine ``name``; scipy is imported on the first call."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.get_lapack_funcs(name, dtype=np.float64)
+
+
+# Module-level names that ``_qr`` and ``_svd`` call (and tests replace).
+def _geqrf(*args, **kwargs):
+    return _lapack("geqrf")(*args, **kwargs)
+
+
+def _orgqr(*args, **kwargs):
+    return _lapack("orgqr")(*args, **kwargs)
+
+
+def _gesdd(*args, **kwargs):
+    return _lapack("gesdd")(*args, **kwargs)
+
+
+def _gesvd(*args, **kwargs):
+    return _lapack("gesvd")(*args, **kwargs)
 
 
 def _raise_if_illegal(routine: str, info: int) -> None:

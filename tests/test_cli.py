@@ -353,6 +353,21 @@ class TestConvergence:
 
 
 class TestUsageErrors:
+    def test_oversized_exact_y_group_exits_one_before_decoding(self, capsys, monkeypatch):
+        from ybias import cli
+
+        decoded = []
+        monkeypatch.setattr(
+            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "run", "--layout", "standard", "-j", "21", "-k", "21", "--eta", "inf",
+            "--decoder", "exact-y", "--p", "0.1", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "standard-21x21" in err and "g = 21" in err
+        assert not decoded
+
     def test_unknown_command_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "does-not-exist")
         assert rc == 1 and err.startswith("error:")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 import support
@@ -20,6 +21,7 @@ from ybias.decoders import (
     MpsDecoder,
     UnattainableSyndromeError,
     _argmax_class,
+    _logsumexp,
     candidate_recovery,
     cycle_decode,
     cycle_decode_batch,
@@ -485,6 +487,37 @@ class TestExactML:
         with pytest.raises(UnattainableSyndromeError):
             call(decoder, s)
 
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_rotated_scores_equal_the_scipy_formula(self, p):
+        # The rotated Y-stabilizer group is the identity alone, so each coset
+        # score is one log-weight: logsumexp over a length-1 axis.
+        code = build_rotated_code(7, 7)
+        decoder = ExactYDecoder(code, PURE_Y(p))
+        logical = code.logical_y.x_bits
+        rng = np.random.default_rng(43)
+        for e in (rng.random((150, code.n)) < p).astype(np.uint8):
+            outcome = decoder.decode(y_syndrome(code, e))
+            rec = outcome.recovery.x_bits
+            cand = rec if outcome.verdict == "I" else rec ^ logical
+            for label, member in (("I", cand), ("L", cand ^ logical)):
+                w = np.array([[member.sum()]], dtype=np.float64)
+                want = logsumexp(w * math.log(p) + (code.n - w) * math.log1p(-p), axis=-1)[0]
+                assert outcome.coset_scores[label] == want
+
+    @pytest.mark.parametrize("size", [19, 21])
+    def test_oversized_standard_group_rejected_before_it_is_built(self, size, monkeypatch):
+        def forbidden(code):
+            raise AssertionError("stabilizer group built for an oversized code")
+
+        monkeypatch.setattr(decoders, "construct_y_stabilizer_group", forbidden)
+        with pytest.raises(ValueError, match=rf"standard-{size}x{size}.*g = {size}.*bytes"):
+            ExactYDecoder(build_standard_code(size, size), PURE_Y(0.1))
+
+    @pytest.mark.parametrize("size", [9, 13, 17])
+    def test_standard_group_within_the_bound_builds(self, size):
+        decoder = ExactYDecoder(build_standard_code(size, size), PURE_Y(0.1))
+        assert decoder._group.shape == (2 ** (size - 1), decoder.code.n)
+
     def test_tie_probability_half_at_p_half(self):
         # At p = 1/2 both cosets weigh the same; the identity class must win
         # every tie, so the decoder returns its candidate unchanged.
@@ -715,6 +748,37 @@ def test_outcome_is_frozen():
     outcome = DecodeOutcome(PauliOperator.identity(2), "I", {"I": 0.0})
     with pytest.raises(AttributeError):
         outcome.verdict = "L"
+
+
+finite = st.floats(-1e3, 1e3)
+with_neg_inf = st.one_of(finite, st.just(-np.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(1)), elements=with_neg_inf))
+def test_logsumexp_of_one_entry_is_that_entry(a):
+    got = _logsumexp(a, axis=-1)
+    assert np.array_equal(got, a[:, 0])
+    assert np.array_equal(got, logsumexp(a, axis=-1))
+
+
+@pytest.mark.parametrize("elements", [finite, with_neg_inf], ids=["finite", "with-neg-inf"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), axis=st.sampled_from([None, -1]))
+def test_logsumexp_matches_scipy(elements, data, axis):
+    shape = st.tuples(st.integers(1, 6), st.integers(1, 40))
+    a = data.draw(arrays(np.float64, shape, elements=elements))
+    got = _logsumexp(a, axis=axis)
+    want = logsumexp(a, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_logsumexp_of_all_neg_inf_is_neg_inf():
+    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+    assert _logsumexp(a[:1]) == -np.inf
+    got = _logsumexp(a, axis=-1)
+    assert got[0] == -np.inf and got[1] == pytest.approx(np.log(1 + np.e), rel=1e-15)
 
 
 @functools.cache

@@ -1,9 +1,14 @@
-"""The package's public names: every export resolves."""
+"""The package's public names resolve, and importing it loads no scipy."""
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +28,64 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from ybias import *", namespace)
     assert set(ybias.__all__) <= namespace.keys()
+
+
+# Runs in a fresh interpreter: this test process has scipy loaded already.
+_SCIPY_PROBE = r"""
+import importlib, json, math, pkgutil, sys
+
+import ybias
+import ybias.cli
+for info in pkgutil.iter_modules(ybias.__path__):
+    importlib.import_module(f"ybias.{info.name}")
+
+from ybias.codes import build_rotated_code, build_standard_code
+from ybias.decoders import ConcatenatedYDecoder, ExactYDecoder, MpsDecoder
+from ybias.noise import BiasedNoiseModel
+from ybias.sim import FailurePoint, estimate_failure_rate, fit_threshold
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def failures(code, decoder, model):
+    result = estimate_failure_rate(code, decoder, model, 200, 5, workers=1)
+    assert result.decoder_errors == 0
+    return result.failures
+
+pure_y = BiasedNoiseModel(0.3, math.inf)
+depolarizing = BiasedNoiseModel(0.1, 0.5)
+rotated, standard = build_rotated_code(3, 3), build_standard_code(4, 4)
+exact = failures(rotated, ExactYDecoder(rotated, pure_y), pure_y)
+failures(standard, ConcatenatedYDecoder(standard), pure_y)
+failures(rotated, MpsDecoder(rotated, depolarizing, 2), depolarizing)  # merged: chi >= 2^1
+report = {"after_benchmark_paths": loaded()}
+
+chain = failures(rotated, MpsDecoder(rotated, pure_y, 1), pure_y)  # truncating chain
+report["chain_matches_exact"] = chain == exact
+report["after_chain"] = loaded()
+
+points = []
+for d in (5, 9, 13):
+    for p in (0.16, 0.175, 0.19, 0.205, 0.22):
+        x = (p - 0.188) * d ** (1.0 / 1.4)
+        points.append(FailurePoint(d, p, 0.28 + 1.1 * x + 0.6 * x * x, 1e-4, 10_000))
+report["fit_p_c"] = fit_threshold(points).p_c
+report["after_fit"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_is_imported_only_by_the_chain_and_the_fit():
+    src = Path(ybias.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_benchmark_paths"] == []
+    assert report["chain_matches_exact"]
+    assert "scipy.linalg" in report["after_chain"]
+    assert "scipy.optimize" not in report["after_chain"]
+    assert report["fit_p_c"] == pytest.approx(0.188, abs=1e-6)
+    assert "scipy.optimize" in report["after_fit"]
