@@ -179,19 +179,26 @@ def code_info_cmd(config_path, layout, j, k) -> None:
     click.echo("\n".join(lines))
 
 
-def _sweep_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))(fn)
-    fn = click.option("--layout", type=click.Choice(["standard", "rotated"]))(fn)
-    fn = click.option("-j", "j", type=int)(fn)
-    fn = click.option("-k", "k", type=int)(fn)
-    fn = click.option("--eta", type=str)(fn)
-    fn = click.option("--decoder", "decoder_name", type=click.Choice(_DECODER_NAMES))(fn)
-    fn = click.option("--chi", type=int)(fn)
-    fn = click.option("--trials", type=int)(fn)
-    fn = click.option("--seed", type=int)(fn)
-    fn = click.option("--workers", type=int)(fn)
-    fn = click.option("--out", type=click.Path(writable=True, dir_okay=False))(fn)
-    return fn
+def _sweep_options(code_size: bool = True, decoder: bool = True):
+    """The options of a sweep command; -j/-k and --decoder/--chi only where it reads them."""
+
+    def apply(fn):
+        fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))(fn)
+        fn = click.option("--layout", type=click.Choice(["standard", "rotated"]))(fn)
+        if code_size:
+            fn = click.option("-j", "j", type=int)(fn)
+            fn = click.option("-k", "k", type=int)(fn)
+        fn = click.option("--eta", type=str)(fn)
+        if decoder:
+            fn = click.option("--decoder", "decoder_name", type=click.Choice(_DECODER_NAMES))(fn)
+            fn = click.option("--chi", type=int)(fn)
+        fn = click.option("--trials", type=int)(fn)
+        fn = click.option("--seed", type=int)(fn)
+        fn = click.option("--workers", type=int)(fn)
+        fn = click.option("--out", type=click.Path(writable=True, dir_okay=False))(fn)
+        return fn
+
+    return apply
 
 
 def _resolve_workers(workers) -> int:
@@ -207,7 +214,7 @@ def _resolve_workers(workers) -> int:
 
 
 @cli.command("run")
-@_sweep_options
+@_sweep_options()
 @click.option("--p", "ps", multiple=True, type=float)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]))
 def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, workers, out, ps, fmt) -> None:
@@ -258,13 +265,13 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
 
 
 @cli.command("threshold")
-@_sweep_options
+@_sweep_options(code_size=False)
 @click.option("--p", "ps", multiple=True, type=float)
 @click.option("-d", "distances", multiple=True, type=int)
 @click.option("--pc-init", type=float)
 @click.option("--nu-init", type=float)
 def threshold_cmd(
-    config_path, layout, j, k, eta, decoder_name, chi, trials, seed, workers, out,
+    config_path, layout, eta, decoder_name, chi, trials, seed, workers, out,
     ps, distances, pc_init, nu_init,
 ) -> None:
     """Sweep several code distances and fit the threshold crossing."""
@@ -348,12 +355,10 @@ def hashing_bound_cmd(config_path, etas, out) -> None:
 
 
 @cli.command("convergence")
-@_sweep_options
+@_sweep_options(decoder=False)
 @click.option("--p", "p", type=float)
 @click.option("--chis", "chis", multiple=True, type=int)
-def convergence_cmd(
-    config_path, layout, j, k, eta, decoder_name, chi, trials, seed, workers, out, p, chis
-) -> None:
+def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, p, chis) -> None:
     """Compare MPS failure rates across bond dimensions on identical errors."""
     config = _load_config(config_path)
     layout = _merge(layout, config, "layout", "rotated")

@@ -488,27 +488,6 @@ def cyclic_path_support(code: StabilizerCode, start: tuple[int, int]) -> np.ndar
     return _collect_support(code, visits)
 
 
-def boundary_destabilizer_support(code: StabilizerCode, c: int) -> np.ndarray:
-    """Y-type operator flipping exactly the bottom-row vertex check (j, c).
-
-    Built as the billiard ray from H(j, c+1) heading up-right until it exits
-    at a corner; used to clear residual bottom-boundary syndrome on coprime
-    codes.
-    """
-    j, k = code.j, code.k
-    pos, direction = (2 * j - 1, 2 * c + 1), (-1, 1)
-    visits = [pos]
-    limit = 16 * j * k + 8
-    for _ in range(limit):
-        pos, direction = _step(j, k, pos, direction)
-        if _is_corner(j, k, pos):
-            break
-        visits.append(pos)
-    else:
-        raise AssertionError(f"destabilizer ray from column {c} on {code.id} did not terminate")
-    return _collect_support(code, visits)
-
-
 def construct_y_logical(code: StabilizerCode) -> PauliOperator:
     """A minimum-weight Y-type logical operator.
 
@@ -548,37 +527,28 @@ def construct_y_stabilizer_group(code: StabilizerCode) -> list[PauliOperator]:
 # -- zero-filled top-row propagation ---------------------------------------
 
 
-def propagate_y_from_top(
-    j: int,
-    k: int,
-    top_row: np.ndarray,
-    vertex_syndrome: np.ndarray | None = None,
-    plaquette_syndrome: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def propagate_y_from_top(j: int, k: int, top_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fill a Y-configuration downward from a given top row of H values.
 
     Row by row, each vertex check of row i determines the V qubit below it
     and each plaquette check of row i determines the H qubit below it, so
-    the result satisfies every requested check except possibly the bottom
-    row of vertex checks.
+    the result flips no check except possibly the bottom row of vertex
+    checks.
 
     Arrays are 1-based: returns (yH, yV) with yH[i][c] for i in 1..j,
     c in 1..k and yV[i][c] for i in 2..j, c in 1..k-1; row/column 0 unused.
-    Syndromes are (j+1, k) / (j, k+1)-shaped 1-based targets (zeros if None).
     """
-    sv = np.zeros((j + 1, k), dtype=np.uint8) if vertex_syndrome is None else vertex_syndrome
-    sp = np.zeros((j, k + 1), dtype=np.uint8) if plaquette_syndrome is None else plaquette_syndrome
     yH = np.zeros((j + 1, k + 1), dtype=np.uint8)
     yV = np.zeros((j + 1, k), dtype=np.uint8)
     yH[1, 1:] = top_row
     for i in range(1, j):
         for c in range(1, k):
             above = yV[i, c] if i >= 2 else 0
-            yV[i + 1, c] = sv[i, c] ^ yH[i, c] ^ yH[i, c + 1] ^ above
+            yV[i + 1, c] = yH[i, c] ^ yH[i, c + 1] ^ above
         for c in range(1, k + 1):
             left = yV[i + 1, c - 1] if c >= 2 else 0
             right = yV[i + 1, c] if c <= k - 1 else 0
-            yH[i + 1, c] = sp[i, c] ^ yH[i, c] ^ left ^ right
+            yH[i + 1, c] = yH[i, c] ^ left ^ right
     return yH, yV
 
 

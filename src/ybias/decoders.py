@@ -21,19 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import tensor
-from .codes import (
-    StabilizerCode,
-    assemble_y_config,
-    boundary_destabilizer_support,
-    construct_y_stabilizer_group,
-    propagate_y_from_top,
-)
+from .codes import StabilizerCode, construct_y_stabilizer_group
 from .gf2 import Gf2Solver, matmul_mod2, solve
 from .noise import BiasedNoiseModel
 from .pauli import PauliOperator
@@ -213,112 +207,29 @@ def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p:
 _Y_GROUP_MAX_BYTES = 2**26
 
 
-class _StandardYTools:
-    """Per-code cache for pure-Y decoding on a standard-layout code."""
-
-    def __init__(self, code: StabilizerCode):
-        g = code.family.g
-        group_bytes = 2 ** (g - 1) * code.n
-        if group_bytes > _Y_GROUP_MAX_BYTES:
-            raise ValueError(
-                f"{code.id}: exact-y enumerates 2^(g-1) Y-type stabilizers (g = {g}), "
-                f"{group_bytes} bytes for n = {code.n}, above the bound of "
-                f"{_Y_GROUP_MAX_BYTES} bytes"
-            )
-        self.code = code
-        self.solver = code.y_solver
-        gens = construct_y_stabilizer_group(code)
-        if gens:
-            gen_matrix = np.stack([op.x_bits for op in gens])
-            subset_bits = (
-                (np.arange(2 ** len(gens), dtype=np.uint32)[:, None] >> np.arange(len(gens)))
-                & 1
-            ).astype(np.uint8)
-            self.group = matmul_mod2(subset_bits, gen_matrix)
-        else:
-            self.group = np.zeros((1, code.n), dtype=np.uint8)
-        # Bottom-row vertex check indices: the only checks a top-row-zero sweep can miss.
-        j, k = code.j, code.k
-        self.bottom_vertex_indices = np.array(
-            [(j - 1) * (k - 1) + (c - 1) for c in range(1, k)]
-        )
-        if code.family.g == 1:
-            self.destabilizers = {
-                c: boundary_destabilizer_support(code, c) for c in range(1, k)
-            }
-            for c, supp in self.destabilizers.items():
-                expected = np.zeros(code.num_checks, dtype=np.uint8)
-                expected[(j - 1) * (k - 1) + (c - 1)] = 1
-                if not np.array_equal(matmul_mod2(code.y_checks, supp), expected):
-                    raise AssertionError(
-                        f"{code.id}: destabilizer for bottom vertex {c} flips extra checks"
-                    )
-
-    def candidate(self, s: np.ndarray) -> np.ndarray:
-        """Y-configuration with syndrome s, built by top-row-zero propagation.
-
-        The sweep is the product of per-location partial recovery operators;
-        its residual syndrome can only sit on the bottom row of vertex
-        checks.  Square codes must see the residuals cancel; coprime codes
-        clear them with corner-bound destabilizer rays; other families clear
-        them with the canonical GF(2) solution.
-        """
-        code = self.code
-        if not self.solver.is_consistent(s):
-            raise UnattainableSyndromeError(
-                f"{code.id}: syndrome not attainable by a Y-type error"
-            )
-        j, k = code.j, code.k
-        sv = np.zeros((j + 1, k), dtype=np.uint8)
-        sp = np.zeros((j, k + 1), dtype=np.uint8)
-        for i in range(1, j + 1):
-            for c in range(1, k):
-                sv[i, c] = s[(i - 1) * (k - 1) + (c - 1)]
-        nx = j * (k - 1)
-        for i in range(1, j):
-            for c in range(1, k + 1):
-                sp[i, c] = s[nx + (i - 1) * k + (c - 1)]
-        yH, yV = propagate_y_from_top(j, k, np.zeros(k, dtype=np.uint8), sv, sp)
-        y = assemble_y_config(code, yH, yV)
-
-        residual = matmul_mod2(code.y_checks, y) ^ s
-        off_bottom = residual.copy()
-        off_bottom[self.bottom_vertex_indices] = 0
-        if off_bottom.any():
-            raise AssertionError(f"{code.id}: sweep residual off the bottom boundary")
-        if code.family.tag == "square":
-            if residual.any():
-                raise AssertionError(f"{code.id}: square-code residuals failed to cancel")
-        elif code.family.g == 1:
-            for c in range(1, k):
-                if residual[(code.j - 1) * (k - 1) + (c - 1)]:
-                    y ^= self.destabilizers[c]
-        elif residual.any():
-            fix = self.solver.solve(residual)
-            if fix is None:
-                raise AssertionError(f"{code.id}: residual syndrome unexpectedly inconsistent")
-            y ^= fix
-        if not np.array_equal(matmul_mod2(code.y_checks, y), s):
-            raise AssertionError(f"{code.id}: candidate recovery syndrome mismatch")
-        return y
-
-    @cached_property
-    def candidate_rows(self) -> np.ndarray:
-        """Row q holds the candidate for a single-qubit Y error at qubit q.
-
-        The sweep and every residual-clearing rule are XOR-linear and send
-        the zero syndrome to the empty configuration, so the candidate for
-        any Y error is the XOR of these rows over its support.  So the
-        decoder takes its candidates as GF(2) solutions times these rows:
-        the sweep's candidates, for a whole batch in one product.
-        """
-        # Column q of the check matrix is the syndrome of a Y error at qubit q.
-        return np.stack([self.candidate(s) for s in self.code.y_checks.T])
-
-
 @lru_cache(maxsize=32)
-def _standard_y_tools(code: StabilizerCode) -> _StandardYTools:
-    return _StandardYTools(code)
+def _y_stabilizer_group(code: StabilizerCode) -> np.ndarray:
+    """Every Y-type stabilizer of ``code``, one row of qubit bits each.
+
+    The rotated layout has only the identity.  A standard code has the
+    2^(g-1) products of its g-1 orbit generators; one whose group exceeds
+    ``_Y_GROUP_MAX_BYTES`` is rejected with ValueError before any is built.
+    """
+    if code.layout == "rotated":
+        return np.zeros((1, code.n), dtype=np.uint8)
+    g = code.family.g
+    group_bytes = 2 ** (g - 1) * code.n
+    if group_bytes > _Y_GROUP_MAX_BYTES:
+        raise ValueError(
+            f"{code.id}: exact-y enumerates 2^(g-1) Y-type stabilizers (g = {g}), "
+            f"{group_bytes} bytes for n = {code.n}, above the bound of "
+            f"{_Y_GROUP_MAX_BYTES} bytes"
+        )
+    gens = np.array([op.x_bits for op in construct_y_stabilizer_group(code)], dtype=np.uint8)
+    subset_bits = (
+        (np.arange(2 ** (g - 1), dtype=np.uint32)[:, None] >> np.arange(g - 1)) & 1
+    ).astype(np.uint8)
+    return matmul_mod2(subset_bits, gens.reshape(g - 1, code.n))
 
 
 class ExactYDecoder:
@@ -326,10 +237,11 @@ class ExactYDecoder:
 
     Compares the identity coset against the logical coset, each summed over
     all Y-type stabilizers in log domain; ties resolve to the identity
-    class.  On the rotated layout the only Y-type stabilizer is the
-    identity and the candidate is the canonical GF(2) solution; on the
-    standard layout it is the top-row sweep of :class:`_StandardYTools`.
-    A standard code whose 2^(g-1) Y-type stabilizers of n bits exceed
+    class.  On both layouts the candidate is the canonical GF(2) solution
+    of the syndrome; ML needs only some representative of its coset, so
+    another candidate could change a recovery only on an exact tie.  On
+    the rotated layout the only Y-type stabilizer is the identity.  A
+    standard code whose 2^(g-1) Y-type stabilizers of n bits exceed
     ``_Y_GROUP_MAX_BYTES`` is rejected with ValueError before any is built.
     """
 
@@ -341,13 +253,7 @@ class ExactYDecoder:
         self.code = code
         self.model = model
         self.params: dict = {}
-        if code.layout == "rotated":
-            self._candidate_rows = None
-            self._group = np.zeros((1, code.n), dtype=np.uint8)
-        else:
-            tools = _standard_y_tools(code)
-            self._candidate_rows = tools.candidate_rows
-            self._group = tools.group
+        self._group = _y_stabilizer_group(code)
 
     def _decode_rows(self, syndromes: np.ndarray):
         """Recoveries, verdicts and (I, L) coset scores for a (trials, checks) block."""
@@ -356,8 +262,6 @@ class ExactYDecoder:
         cands, attainable = code.y_solver.solve_batch(syndromes)
         if not attainable.all():
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
-        if self._candidate_rows is not None:
-            cands = matmul_mod2(cands, self._candidate_rows)
         logical = code.logical_y.x_bits
         score_i = np.empty(len(cands))
         score_l = np.empty(len(cands))

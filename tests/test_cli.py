@@ -301,6 +301,24 @@ class TestThreshold:
         assert err.startswith("error:") and message in err
         assert not decoded
 
+    @pytest.mark.parametrize("flags", [("-j", "99"), ("-k", "2")], ids=["j", "k"])
+    def test_code_size_flags_are_not_options(self, capsys, monkeypatch, flags):
+        # Threshold codes are d x d for each -d, so it reads no -j or -k.
+        from ybias import cli
+
+        decoded = []
+        monkeypatch.setattr(
+            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "threshold", "--eta", "inf", "--decoder", "exact-y",
+            "-d", "3", "-d", "5", "-d", "7", "--p", "0.1", "--p", "0.12", "--p", "0.14",
+            "--trials", "10", *flags,
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and flags[0] in err
+        assert not decoded
+
 
 class TestConvergence:
     def test_study_reports_reference_row(self, capsys):
@@ -349,6 +367,25 @@ class TestConvergence:
         )
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "distinct chi" in err
+        assert not decoded
+
+    @pytest.mark.parametrize(
+        "flags", [("--decoder", "exact-y"), ("--chi", "999")], ids=["decoder", "chi"]
+    )
+    def test_decoder_flags_are_not_options(self, capsys, monkeypatch, flags):
+        # The study always decodes with MPS at each --chis value.
+        from ybias import sim
+
+        decoded = []
+        monkeypatch.setattr(
+            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
+        )
+        rc, out, err = run_cli(
+            capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+            "--chis", "2", "--chis", "4", "--trials", "10", *flags,
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and flags[0] in err
         assert not decoded
 
 

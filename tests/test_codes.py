@@ -17,7 +17,7 @@ from ybias.codes import (
     y_distance,
     y_logical_count,
 )
-from ybias.gf2 import matmul_mod2, rank
+from ybias.gf2 import rank
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
 
@@ -274,21 +274,6 @@ class TestYKernel:
                 assert weights[weights > 0].min() == y_distance(j, k, "standard")
 
 
-def syndrome_grids(code, s):
-    """Reshape a flat syndrome into the 1-based vertex/plaquette grids."""
-    j, k = code.j, code.k
-    sv = np.zeros((j + 1, k), dtype=np.uint8)
-    sp = np.zeros((j, k + 1), dtype=np.uint8)
-    for i in range(1, j + 1):
-        for c in range(1, k):
-            sv[i, c] = s[(i - 1) * (k - 1) + (c - 1)]
-    nx = j * (k - 1)
-    for i in range(1, j):
-        for c in range(1, k + 1):
-            sp[i, c] = s[nx + (i - 1) * k + (c - 1)]
-    return sv, sp
-
-
 class TestPropagation:
     @pytest.mark.parametrize("j,k", [(3, 4), (4, 4), (5, 3)])
     def test_zero_syndrome_sweep_leaves_residual_on_bottom_row_only(self, j, k):
@@ -305,20 +290,6 @@ class TestPropagation:
             hot = set(np.nonzero(s[: code.num_x_checks])[0].tolist())
             assert hot <= bottom_checks
             assert not s[code.num_x_checks :].any()
-
-    def test_syndrome_driven_sweep_reproduces_error_exactly(self):
-        code = build_standard_code(4, 4)
-        rng = np.random.default_rng(5)
-        h = code.y_checks
-        for _ in range(10):
-            y = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            s = matmul_mod2(h, y)
-            sv, sp = syndrome_grids(code, s)
-            top = np.array([y[code.h_index(1, c)] for c in range(1, 5)], dtype=np.uint8)
-            yH, yV = propagate_y_from_top(4, 4, top, sv, sp)
-            rebuilt = assemble_y_config(code, yH, yV)
-            # With the true top row the sweep reproduces the error exactly.
-            assert np.array_equal(rebuilt, y)
 
 
 class TestSerialization:

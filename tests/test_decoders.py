@@ -328,14 +328,12 @@ class TestConcatenatedHalfDistance:
 def _exact_y_reference(code, p, s, group):
     """Exact-y recovery and verdict for one syndrome, by exact rational arithmetic.
 
-    The candidate is the top-row sweep on the standard layout and the
-    canonical GF(2) solution on the rotated one; each coset's probability is
-    summed over ``group``, the Y-type stabilizers.  L must win strictly.
+    The candidate is the canonical GF(2) solution on both layouts, from the
+    one-syndrome ``solve`` rather than the decoder's ``solve_batch``; each
+    coset's probability is summed over ``group``, the Y-type stabilizers.
+    L must win strictly.
     """
-    if code.layout == "rotated":
-        cand = code.y_solver.solve(s)
-    else:
-        cand = decoders._standard_y_tools(code).candidate(s)
+    cand = code.y_solver.solve(s)
     q = Fraction(p)
 
     def coset_probability(rep):
@@ -461,10 +459,12 @@ class TestExactML:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_batch_matches_single_standard(self, p):
-        code = build_standard_code(4, 4)
-        rng = np.random.default_rng(8)
-        errors = (rng.random((150, code.n)) < 0.35).astype(np.uint8)
-        _assert_batch_matches_reference(code, p, errors)
+        # Square 4x4, coprime 3x4, and 4x6 and 6x4 with g = 2.
+        for j, k in ((4, 4), (3, 4), (4, 6), (6, 4)):
+            code = build_standard_code(j, k)
+            rng = np.random.default_rng(8)
+            errors = (rng.random((150, code.n)) < 0.35).astype(np.uint8)
+            _assert_batch_matches_reference(code, p, errors)
 
     @pytest.mark.parametrize(
         "call",
