@@ -19,12 +19,10 @@ from .decoders import (
     ExactYDecoder,
     MpsDecoder,
     UnattainableSyndromeError,
-    cycle_decode,
     cycle_failure_bound,
     decoder_from_name,
-    repetition_decode,
 )
-from .noise import BiasedNoiseModel, hashing_bound, sample_error
+from .noise import BiasedNoiseModel, hashing_bound
 from .pauli import PauliOperator
 from .sim import (
     FailurePoint,
@@ -46,7 +44,6 @@ __all__ = [
     "syndrome",
     "PauliOperator",
     "BiasedNoiseModel",
-    "sample_error",
     "hashing_bound",
     "CycleCode",
     "YCodeStructure",
@@ -54,8 +51,6 @@ __all__ = [
     "y_code_structure",
     "DecodeOutcome",
     "UnattainableSyndromeError",
-    "repetition_decode",
-    "cycle_decode",
     "cycle_failure_bound",
     "decoder_from_name",
     "ExactYDecoder",

@@ -25,7 +25,6 @@ from .codes import (
 from .decoders import decoder_from_name
 from .noise import BiasedNoiseModel, hashing_bound
 from .sim import (
-    CSV_COLUMNS,
     FailurePoint,
     convergence_study,
     csv_text,
@@ -72,6 +71,14 @@ def _number(value, name: str, kind=float):
     return number
 
 
+def _at_least(value, name: str, least: int) -> int:
+    """An integer option of at least ``least``, or a ConfigError naming it."""
+    number = _number(value, name, int)
+    if number < least:
+        raise ConfigError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
 def _listed(values, name: str):
     """A repeatable option's flag tuple or config list; anything else is a ConfigError."""
     if not isinstance(values, (list, tuple)):
@@ -83,7 +90,13 @@ def _numbers(values, name: str, kind=float) -> list:
     return [_number(v, name, kind) for v in _listed(values, name)]
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: str) -> dict:
+    """The JSON object in ``path`` ({} without a path).
+
+    ``keys`` lists, space-separated, the config names the calling command
+    reads; any other key, misspelt or meant for another command, is a
+    ConfigError.
+    """
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -93,6 +106,12 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(keys.split()))
+    if unknown:
+        raise ConfigError(
+            f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"this command reads {keys}"
+        )
     return data
 
 
@@ -128,9 +147,7 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _base_metadata(command: str, seed=None, **echo) -> dict:
-    meta = {"tool": f"ybias {__version__}", "command": command}
-    for key, value in echo.items():
-        meta[key] = value
+    meta = {"tool": f"ybias {__version__}", "command": command, **echo}
     if seed is not None:
         meta["seed"] = seed
     return meta
@@ -148,7 +165,7 @@ def cli() -> None:
 @click.option("-k", "k", type=int)
 def code_info_cmd(config_path, layout, j, k) -> None:
     """Report code parameters, pure-noise distances, and operator counts."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, "layout j k")
     layout = _require(_merge(layout, config, "layout"), "--layout")
     j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
     k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
@@ -207,10 +224,7 @@ def _resolve_workers(workers) -> int:
             return default_workers()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    workers = _number(workers, "--workers", int)
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-    return workers
+    return _at_least(workers, "--workers", 1)
 
 
 @cli.command("run")
@@ -219,7 +233,7 @@ def _resolve_workers(workers) -> int:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]))
 def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, workers, out, ps, fmt) -> None:
     """Estimate failure rates over a sweep of physical error rates."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, "layout j k eta decoder chi p format trials seed workers out")
     layout = _require(_merge(layout, config, "layout"), "--layout")
     j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
     k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
@@ -228,7 +242,7 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
     chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
     ps = _numbers(_merge(ps, config, "p", []), "--p")
     fmt = _merge(fmt, config, "format", "csv")
-    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
+    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     try:
@@ -238,9 +252,7 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if ps:
-        trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
-        if trials < 1:
-            raise ConfigError("--trials must be >= 1")
+        trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
     rows = []
     for model, decoder in zip(models, decoders):
         result = estimate_failure_rate(code, decoder, model, trials, seed, workers=workers)
@@ -275,15 +287,17 @@ def threshold_cmd(
     ps, distances, pc_init, nu_init,
 ) -> None:
     """Sweep several code distances and fit the threshold crossing."""
-    config = _load_config(config_path)
+    config = _load_config(
+        config_path, "layout eta decoder chi p distances trials seed workers out pc_init nu_init"
+    )
     layout = _merge(layout, config, "layout", "rotated")
     eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
     decoder_name = _require(_merge(decoder_name, config, "decoder"), "--decoder")
     chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
     ps = _numbers(_merge(ps, config, "p", []), "--p")
     distances = _numbers(_merge(distances, config, "distances", []), "-d", int)
-    trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
-    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
+    trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
+    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     pc_init = _merge(pc_init, config, "pc_init")
@@ -293,8 +307,6 @@ def threshold_cmd(
         raise ConfigError(f"need >= 3 distinct distances, got {distances}")
     if len(set(ps)) < 3:
         raise ConfigError(f"need >= 3 distinct p-values, got {ps}")
-    if trials < 1:
-        raise ConfigError("--trials must be >= 1")
     try:
         codes = {d: _build_code(layout, d, d) for d in distances}
         models = {p: BiasedNoiseModel(p, eta) for p in ps}
@@ -344,7 +356,7 @@ def threshold_cmd(
 @click.option("--out", type=click.Path(writable=True, dir_okay=False))
 def hashing_bound_cmd(config_path, etas, out) -> None:
     """Tabulate the hashing-bound threshold for each bias value."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, "eta out")
     etas = [parse_eta(e) for e in _listed(_merge(etas, config, "eta", []), "--eta")]
     out = _merge(out, config, "out")
     rows = [{"eta": eta, "p_c": hashing_bound(eta)} for eta in etas]
@@ -360,7 +372,7 @@ def hashing_bound_cmd(config_path, etas, out) -> None:
 @click.option("--chis", "chis", multiple=True, type=int)
 def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, p, chis) -> None:
     """Compare MPS failure rates across bond dimensions on identical errors."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, "layout j k eta p chis trials seed workers out")
     layout = _merge(layout, config, "layout", "rotated")
     if layout != "rotated":
         raise ConfigError("convergence studies run on rotated-layout codes")
@@ -368,17 +380,13 @@ def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, 
     k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
     eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
     p = _number(_require(_merge(p, config, "p"), "--p"), "--p")
-    chis = _numbers(_merge(chis, config, "chis", []), "--chis", int)
-    trials = _number(_require(_merge(trials, config, "trials"), "--trials"), "--trials", int)
-    seed = _number(_merge(seed, config, "seed", 0), "--seed", int)
+    chis = [_at_least(c, "--chis", 1) for c in _listed(_merge(chis, config, "chis", []), "--chis")]
+    trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
+    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
     if len(set(chis)) < 2:
         raise ConfigError(f"need >= 2 distinct chi values, got {chis}")
-    if min(chis) < 1:
-        raise ConfigError(f"--chis must be >= 1, got {min(chis)}")
-    if trials < 1:
-        raise ConfigError("--trials must be >= 1")
     try:
         code = _build_code(layout, j, k)
         model = BiasedNoiseModel(p, eta)

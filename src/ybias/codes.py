@@ -24,9 +24,7 @@ qubits, and :func:`syndrome_batch` gathers and XORs those bits.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +33,6 @@ from .gf2 import Gf2Solver, matmul_mod2
 from .pauli import PauliOperator
 
 __all__ = [
-    "CodeFamily",
     "StabilizerCode",
     "build_standard_code",
     "build_rotated_code",
@@ -47,25 +44,6 @@ __all__ = [
     "construct_y_stabilizer_group",
     "propagate_y_from_top",
 ]
-
-
-@dataclass(frozen=True)
-class CodeFamily:
-    """Family classification of a j x k code: square, coprime, gcd_g, or rotated_odd."""
-
-    tag: str
-    g: int
-
-    @classmethod
-    def classify(cls, j: int, k: int, layout: str) -> "CodeFamily":
-        g = math.gcd(j, k)
-        if layout == "rotated":
-            return cls("rotated_odd", g)
-        if j == k:
-            return cls("square", g)
-        if g == 1:
-            return cls("coprime", g)
-        return cls("gcd_g", g)
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:
@@ -86,8 +64,6 @@ class StabilizerCode:
         qubit_coords: tuple[tuple[int, int], ...],
         x_checks: np.ndarray,
         z_checks: np.ndarray,
-        x_check_coords: tuple[tuple[int, int], ...],
-        z_check_coords: tuple[tuple[int, int], ...],
         logical_x: PauliOperator,
         logical_z: PauliOperator,
     ):
@@ -98,11 +74,9 @@ class StabilizerCode:
         self.qubit_coords = qubit_coords
         self.x_checks = _read_only(x_checks)
         self.z_checks = _read_only(z_checks)
-        self.x_check_coords = x_check_coords
-        self.z_check_coords = z_check_coords
         self.logical_x = logical_x
         self.logical_z = logical_z
-        self.family = CodeFamily.classify(j, k, layout)
+        self.g = math.gcd(j, k)  # sets the standard layout's pure-Y block structure
         self._validate()
 
     # -- derived structure -------------------------------------------------
@@ -204,22 +178,6 @@ class StabilizerCode:
             raise ValueError("qubit_index is a rotated-layout accessor")
         return (r - 1) * self.k + (c - 1)
 
-    def to_json(self) -> str:
-        lines = ["".join(map(str, row)) for row in self.x_checks]
-        zlines = ["".join(map(str, row)) for row in self.z_checks]
-        return json.dumps(
-            {
-                "layout": self.layout,
-                "j": self.j,
-                "k": self.k,
-                "n": self.n,
-                "x_checks": lines,
-                "z_checks": zlines,
-                "logical_x": self.logical_x.to_string(),
-                "logical_z": self.logical_z.to_string(),
-            }
-        )
-
     def __repr__(self) -> str:
         return f"StabilizerCode({self.id}, n={self.n})"
 
@@ -245,7 +203,6 @@ def build_standard_code(j: int, k: int) -> StabilizerCode:
     n = len(coords)
 
     x_rows = []
-    x_coords = []
     for i in range(1, j + 1):
         for c in range(1, k):
             row = np.zeros(n, dtype=np.uint8)
@@ -256,10 +213,8 @@ def build_standard_code(j: int, k: int) -> StabilizerCode:
             if i <= j - 1:
                 row[v_index[(i + 1, c)]] = 1
             x_rows.append(row)
-            x_coords.append((2 * i - 1, 2 * c))
 
     z_rows = []
-    z_coords = []
     for i in range(1, j):
         for c in range(1, k + 1):
             row = np.zeros(n, dtype=np.uint8)
@@ -270,7 +225,6 @@ def build_standard_code(j: int, k: int) -> StabilizerCode:
             if c <= k - 1:
                 row[v_index[(i + 1, c)]] = 1
             z_rows.append(row)
-            z_coords.append((2 * i, 2 * c - 1))
 
     lx = np.zeros(n, dtype=np.uint8)
     for i in range(1, j + 1):
@@ -286,8 +240,6 @@ def build_standard_code(j: int, k: int) -> StabilizerCode:
         tuple(coords),
         np.array(x_rows, dtype=np.uint8),
         np.array(z_rows, dtype=np.uint8),
-        tuple(x_coords),
-        tuple(z_coords),
         PauliOperator.x_type(lx),
         PauliOperator.z_type(lz),
     )
@@ -333,7 +285,7 @@ def build_rotated_code(j: int, k: int) -> StabilizerCode:
     def qidx(r: int, c: int) -> int:
         return (r - 1) * k + (c - 1)
 
-    x_rows, x_coords, z_rows, z_coords = [], [], [], []
+    x_rows, z_rows = [], []
     for a in range(j + 1):
         for b in range(k + 1):
             if not rotated_face_included(j, k, a, b):
@@ -341,12 +293,7 @@ def build_rotated_code(j: int, k: int) -> StabilizerCode:
             row = np.zeros(n, dtype=np.uint8)
             for r, c in rotated_face_qubits(j, k, a, b):
                 row[qidx(r, c)] = 1
-            if rotated_face_is_x(a, b):
-                x_rows.append(row)
-                x_coords.append((a, b))
-            else:
-                z_rows.append(row)
-                z_coords.append((a, b))
+            (x_rows if rotated_face_is_x(a, b) else z_rows).append(row)
 
     lx = np.zeros(n, dtype=np.uint8)
     lx[[qidx(1, c) for c in range(1, k + 1)]] = 1
@@ -360,8 +307,6 @@ def build_rotated_code(j: int, k: int) -> StabilizerCode:
         coords,
         np.array(x_rows, dtype=np.uint8),
         np.array(z_rows, dtype=np.uint8),
-        tuple(x_coords),
-        tuple(z_coords),
         PauliOperator.x_type(lx),
         PauliOperator.z_type(lz),
     )
@@ -513,7 +458,7 @@ def construct_y_stabilizer_group(code: StabilizerCode) -> list[PauliOperator]:
     """
     if code.layout != "standard":
         raise ValueError("Y-type stabilizer generators are a standard-layout construction")
-    g = code.family.g
+    g = code.g
     gens = []
     for i in range(2, g + 1):
         support = cyclic_path_support(code, (1, 2 * i - 1))

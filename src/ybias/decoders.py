@@ -13,8 +13,8 @@ classes relative to each decoder's own candidate recovery.
 Tie-breaking is deterministic everywhere: coset log-scores within 1e-9 of
 each other are tied, and ties prefer I, then X, Y, Z, so a verdict never
 follows the rounding of cosets equal in exact arithmetic (pure-Y decoding
-prefers I over L on an exact tie); vote ties in the repetition and cycle
-decoders resolve to "no flip".
+prefers I over L on an exact tie); vote ties in the cycle decoder resolve to
+"no flip".
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .ycode import YCodeStructure, cycle_code, y_code_structure
 __all__ = [
     "DecodeOutcome",
     "UnattainableSyndromeError",
-    "repetition_decode",
-    "cycle_decode",
     "cycle_decode_batch",
     "cycle_failure_bound",
     "candidate_recovery",
@@ -91,14 +89,6 @@ def logical_class_representatives(code: StabilizerCode) -> dict[str, PauliOperat
 # -- classical decoders ----------------------------------------------------
 
 
-def repetition_decode(bits: Iterable[int] | np.ndarray) -> int:
-    """Majority vote; an exact tie returns 0."""
-    arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits, dtype=np.uint8)
-    if arr.size == 0:
-        raise ValueError("repetition_decode needs at least one bit")
-    return int(2 * int(arr.sum()) > arr.size)
-
-
 @lru_cache(maxsize=None)
 def _triangle_edge_indices(m: int) -> np.ndarray:
     code = cycle_code(m)
@@ -110,30 +100,14 @@ def _triangle_edge_indices(m: int) -> np.ndarray:
     )
 
 
-def cycle_decode(m: int, triangle_syndromes: Mapping[tuple[int, int, int], int]) -> np.ndarray:
-    """Vote-decode the cycle code on K_m.
+def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
+    """Vote-decode the cycle code on K_m for many errors; rows are edge bit-vectors.
 
     Each edge sums the syndromes of the m-2 triangles containing it and is
-    flipped iff the sum strictly exceeds (m-2)/2.  The full syndrome map
-    (one bit per sorted vertex triple) is required and must be consistent.
-    """
-    code = cycle_code(m)
-    try:
-        s = np.array([triangle_syndromes[t] for t in code.triangles], dtype=np.uint8)
-    except KeyError as missing:
-        raise ValueError(f"missing triangle syndrome for {missing}") from None
-    if solve(code.checks, s) is None:
-        raise ValueError("inconsistent triangle syndrome set")
-    votes = code.checks.T.astype(np.int64) @ s.astype(np.int64)
-    return (2 * votes > m - 2).astype(np.uint8)
-
-
-def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
-    """Decode many error patterns at once; rows are edge bit-vectors.
-
-    Syndromes are generated internally from the errors, so consistency holds
-    by construction.  Vote sums run through float32 BLAS in chunks; they are
-    small integers (at most m-2 < 2^24), so the arithmetic stays exact.
+    flipped iff the sum strictly exceeds (m-2)/2.  Syndromes are generated
+    internally from the errors, so consistency holds by construction.  Vote
+    sums run through float32 BLAS in chunks; they are small integers (at
+    most m-2 < 2^24), so the arithmetic stays exact.
     """
     code = cycle_code(m)
     te = _triangle_edge_indices(m)
@@ -217,7 +191,7 @@ def _y_stabilizer_group(code: StabilizerCode) -> np.ndarray:
     """
     if code.layout == "rotated":
         return np.zeros((1, code.n), dtype=np.uint8)
-    g = code.family.g
+    g = code.g
     group_bytes = 2 ** (g - 1) * code.n
     if group_bytes > _Y_GROUP_MAX_BYTES:
         raise ValueError(

@@ -28,8 +28,6 @@ __all__ = [
     "rank",
     "rref",
     "solve",
-    "nullspace_basis",
-    "in_rowspace",
     "Gf2Solver",
 ]
 
@@ -138,28 +136,6 @@ def solve(M: np.ndarray, b: Iterable[int] | np.ndarray) -> np.ndarray | None:
     """
     M = _as_bit_matrix(M)
     return _cached_solver(M.shape, M.tobytes()).solve(b)
-
-
-def nullspace_basis(M: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel: cols - rank independent vectors, each with Mv = 0."""
-    reduced, pivots = rref(M)
-    cols = reduced.shape[1]
-    pivot_set = set(pivots)
-    basis: list[np.ndarray] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.uint8)
-        v[free] = 1
-        v[pivots] = reduced[: len(pivots), free]
-        basis.append(v)
-    return basis
-
-
-def in_rowspace(M: np.ndarray, v: Iterable[int] | np.ndarray) -> bool:
-    """True iff v lies in the GF(2) row space of M."""
-    M = _as_bit_matrix(M)
-    return rank(np.vstack([M, _as_bit_array(v, M.shape[1])])) == rank(M)
 
 
 class Gf2Solver:

@@ -16,14 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliOperator
-
 __all__ = [
     "BiasedNoiseModel",
-    "sample_error",
     "hashing_bound",
     "derive_key",
-    "trial_generator",
     "batch_uniforms",
     "counters_per_trial",
 ]
@@ -79,29 +75,19 @@ class BiasedNoiseModel:
         return arr
 
 
-def _classes_from_uniforms(model: BiasedNoiseModel, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0,1) to Pauli classes (x + 2z encoding).
+def sample_error_classes_batch(model: BiasedNoiseModel, uniforms: np.ndarray) -> np.ndarray:
+    """Map pre-drawn uniforms in [0,1), a (trials, n) block, to Pauli classes (x + 2z).
 
     Thresholds are cumulative [1-p, 1-p+p_X, 1-p+p_X+p_Z], so the order of
-    outcomes is I, X, Z, Y.  The class is the number of thresholds at or
-    below u, the count ``searchsorted(edges, u, side="right")`` gives.
+    outcomes is I, X, Z, Y.  The class of a uniform u is the number of
+    thresholds at or below u, the count ``searchsorted(edges, u, side="right")``
+    gives.
     """
     edges = np.cumsum(model.class_probs)[:3]
-    classes = (u >= edges[0]).view(np.uint8)
-    classes += u >= edges[1]
-    classes += u >= edges[2]
+    classes = (uniforms >= edges[0]).view(np.uint8)
+    classes += uniforms >= edges[1]
+    classes += uniforms >= edges[2]
     return classes
-
-
-def sample_error(model: BiasedNoiseModel, n: int, rng: np.random.Generator) -> PauliOperator:
-    """One i.i.d. channel sample on n qubits."""
-    cls = _classes_from_uniforms(model, rng.random(n))
-    return PauliOperator((cls & 1).astype(np.uint8), (cls >> 1).astype(np.uint8))
-
-
-def sample_error_classes_batch(model: BiasedNoiseModel, uniforms: np.ndarray) -> np.ndarray:
-    """Classes for a (trials, n) block of pre-drawn uniforms."""
-    return _classes_from_uniforms(model, uniforms)
 
 
 # -- deterministic stream plumbing -----------------------------------------
@@ -117,17 +103,11 @@ def counters_per_trial(n: int) -> int:
     return -(-n // 4)
 
 
-def trial_generator(key: np.ndarray, trial_index: int, n: int) -> np.random.Generator:
-    """Generator positioned at the start of the given trial's counter block."""
-    c = counters_per_trial(n)
-    return np.random.Generator(np.random.Philox(key=key, counter=trial_index * c))
-
-
 def batch_uniforms(key: np.ndarray, start_trial: int, trials: int, n: int) -> np.ndarray:
     """Uniforms for trials [start, start+trials), shape (trials, n).
 
-    Draws whole counter blocks so each row is bit-identical to what
-    trial_generator(key, i, n).random(n) would produce.
+    Draws whole counter blocks, so row i holds the first n doubles of trial
+    start+i's own block whatever the batch bounds.
     """
     c = counters_per_trial(n)
     gen = np.random.Generator(np.random.Philox(key=key, counter=start_trial * c))

@@ -41,8 +41,6 @@ __all__ = [
     "convergence_study",
     "fit_threshold",
     "failure_row",
-    "write_csv",
-    "write_json",
     "CSV_COLUMNS",
 ]
 
@@ -479,21 +477,6 @@ def _json_safe(value):
 
 def json_text(payload: Mapping) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
-
-
-def write_csv(
-    path: str,
-    rows: Iterable[Mapping],
-    metadata: Mapping[str, object],
-    columns: Sequence[str] = CSV_COLUMNS,
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(rows, metadata, columns))
-
-
-def write_json(path: str, payload: Mapping) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(payload))
 
 
 def default_workers() -> int:

@@ -65,13 +65,9 @@ __all__ = [
     "NetworkLayout",
     "SiteTensorSpec",
     "Column",
-    "BoundaryMPS",
     "network_layout",
     "build_coset_network",
-    "initial_boundary",
-    "apply_and_truncate",
     "contract_columns",
-    "coset_log_probability",
 ]
 
 
@@ -640,13 +636,3 @@ def contract_columns(
             break
     return _close(mps, columns[-1])
 
-
-def coset_log_probability(
-    code: StabilizerCode,
-    model: BiasedNoiseModel,
-    rep: PauliOperator,
-    chi: int,
-    stats: dict | None = None,
-) -> float:
-    """log of the total probability of the coset rep * stabilizer group."""
-    return float(contract_columns(build_coset_network(code, model, rep), chi, stats)[0])

@@ -111,7 +111,7 @@ def _diagonal_pattern(g: int, m: int) -> set[int]:
 
 def extended_diagonal(code: StabilizerCode, i: int) -> PauliOperator:
     """Extended diagonal i (1..g+1): alternating tile patterns propagated down."""
-    j, k, g = code.j, code.k, code.family.g
+    j, k, g = code.j, code.k, code.g
     top = np.zeros(k + 1, dtype=np.uint8)
     for c in range(1, k + 1):
         tile, offset = divmod(c - 1, g)

@@ -2,20 +2,90 @@
 
 Class labels come from commutation with the logical pair, coset sums from
 direct enumeration over all Paulis, and kernels from the generic nullspace
-routine — none of it reuses the decoders' scoring internals.
+routine — none of it reuses the decoders' scoring internals.  The second
+implementations the package does not run itself live here too: the
+dict-based cycle decoder, the nullspace and row-space routines, one-trial
+sampling, and the one-coset MPS probability.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from ybias import tensor
 from ybias.codes import StabilizerCode, syndrome
-from ybias.gf2 import nullspace_basis
-from ybias.noise import BiasedNoiseModel, sample_error
+from ybias.gf2 import _as_bit_array, _as_bit_matrix, rank, rref, solve
+from ybias.noise import BiasedNoiseModel, counters_per_trial, sample_error_classes_batch
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
+from ybias.ycode import cycle_code
+
+
+def nullspace_basis(M: np.ndarray) -> list[np.ndarray]:
+    """Basis of the kernel: cols - rank independent vectors, each with Mv = 0."""
+    reduced, pivots = rref(M)
+    cols = reduced.shape[1]
+    pivot_set = set(pivots)
+    basis: list[np.ndarray] = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = np.zeros(cols, dtype=np.uint8)
+        v[free] = 1
+        v[pivots] = reduced[: len(pivots), free]
+        basis.append(v)
+    return basis
+
+
+def in_rowspace(M: np.ndarray, v: Iterable[int] | np.ndarray) -> bool:
+    """True iff v lies in the GF(2) row space of M."""
+    M = _as_bit_matrix(M)
+    return rank(np.vstack([M, _as_bit_array(v, M.shape[1])])) == rank(M)
+
+
+def sample_error(model: BiasedNoiseModel, n: int, rng: np.random.Generator) -> PauliOperator:
+    """One i.i.d. channel sample on n qubits."""
+    cls = sample_error_classes_batch(model, rng.random(n))
+    return PauliOperator((cls & 1).astype(np.uint8), (cls >> 1).astype(np.uint8))
+
+
+def trial_generator(key: np.ndarray, trial_index: int, n: int) -> np.random.Generator:
+    """Generator positioned at the start of the given trial's counter block."""
+    c = counters_per_trial(n)
+    return np.random.Generator(np.random.Philox(key=key, counter=trial_index * c))
+
+
+def cycle_decode(m: int, triangle_syndromes: Mapping[tuple[int, int, int], int]) -> np.ndarray:
+    """Vote-decode the cycle code on K_m.
+
+    Each edge sums the syndromes of the m-2 triangles containing it and is
+    flipped iff the sum strictly exceeds (m-2)/2.  The full syndrome map
+    (one bit per sorted vertex triple) is required and must be consistent.
+    """
+    code = cycle_code(m)
+    try:
+        s = np.array([triangle_syndromes[t] for t in code.triangles], dtype=np.uint8)
+    except KeyError as missing:
+        raise ValueError(f"missing triangle syndrome for {missing}") from None
+    if solve(code.checks, s) is None:
+        raise ValueError("inconsistent triangle syndrome set")
+    votes = code.checks.T.astype(np.int64) @ s.astype(np.int64)
+    return (2 * votes > m - 2).astype(np.uint8)
+
+
+def coset_log_probability(
+    code: StabilizerCode,
+    model: BiasedNoiseModel,
+    rep: PauliOperator,
+    chi: int,
+    stats: dict | None = None,
+) -> float:
+    """log of the total probability of the coset rep * stabilizer group."""
+    columns = tensor.build_coset_network(code, model, rep)
+    return float(tensor.contract_columns(columns, chi, stats)[0])
 
 
 def anticommute_bit(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> int:
@@ -126,8 +196,6 @@ def mps_chain_scores(
     directly, so the QR/SVD path runs even where ``contract_columns`` would
     contract the boundary as one merged site.
     """
-    from ybias import tensor
-
     mps = tensor.initial_boundary(len(columns[0]))
     for col in columns[:-1]:
         mps = tensor.apply_and_truncate(mps, col, chi, stats)

@@ -15,6 +15,7 @@ import pytest
 import scipy.stats
 
 import support
+from support import cycle_decode, nullspace_basis, sample_error
 from ybias.codes import (
     build_rotated_code,
     build_standard_code,
@@ -26,13 +27,11 @@ from ybias.decoders import (
     BruteForceDecoder,
     ExactYDecoder,
     MpsDecoder,
-    cycle_decode,
     cycle_decode_batch,
     cycle_failure_bound,
-    logical_class_representatives,
 )
-from ybias.gf2 import nullspace_basis, rank
-from ybias.noise import BiasedNoiseModel, hashing_bound, sample_error
+from ybias.gf2 import rank
+from ybias.noise import BiasedNoiseModel, hashing_bound
 from ybias.pauli import PauliOperator
 from ybias.sim import (
     FailurePoint,

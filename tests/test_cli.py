@@ -18,6 +18,19 @@ def run_cli(capsys, *args):
     return rc, captured.out, captured.err
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """Every call that reaches a failure-rate estimate; validation errors leave it empty."""
+    from ybias import cli, sim
+
+    calls = []
+    for module in (cli, sim):
+        monkeypatch.setattr(
+            module, "estimate_failure_rate", lambda *args, **kwargs: calls.append(args)
+        )
+    return calls
+
+
 def data_rows(text):
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     header = lines[0].split(",")
@@ -285,14 +298,8 @@ class TestThreshold:
         ids=["distance", "p"],
     )
     def test_repeated_grid_value_counts_once_and_exits_before_decoding(
-        self, capsys, monkeypatch, grid, message
+        self, capsys, decoded, grid, message
     ):
-        from ybias import cli
-
-        decoded = []
-        monkeypatch.setattr(
-            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
         rc, out, err = run_cli(
             capsys, "threshold", "--layout", "rotated", "--eta", "inf", "--decoder", "exact-y",
             *grid, "--trials", "200", "--seed", "1",
@@ -302,14 +309,8 @@ class TestThreshold:
         assert not decoded
 
     @pytest.mark.parametrize("flags", [("-j", "99"), ("-k", "2")], ids=["j", "k"])
-    def test_code_size_flags_are_not_options(self, capsys, monkeypatch, flags):
+    def test_code_size_flags_are_not_options(self, capsys, decoded, flags):
         # Threshold codes are d x d for each -d, so it reads no -j or -k.
-        from ybias import cli
-
-        decoded = []
-        monkeypatch.setattr(
-            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
         rc, out, err = run_cli(
             capsys, "threshold", "--eta", "inf", "--decoder", "exact-y",
             "-d", "3", "-d", "5", "-d", "7", "--p", "0.1", "--p", "0.12", "--p", "0.14",
@@ -339,13 +340,7 @@ class TestConvergence:
         )
         assert rc == 1 and "rotated" in err
 
-    def test_chi_below_one_exits_one_before_decoding(self, capsys, monkeypatch):
-        from ybias import sim
-
-        decoded = []
-        monkeypatch.setattr(
-            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
+    def test_chi_below_one_exits_one_before_decoding(self, capsys, decoded):
         rc, out, err = run_cli(
             capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
             "--chis", "2", "--chis", "0", "--trials", "10",
@@ -354,13 +349,7 @@ class TestConvergence:
         assert err.startswith("error:") and "--chis" in err
         assert not decoded
 
-    def test_repeated_chi_counts_once_and_exits_before_decoding(self, capsys, monkeypatch):
-        from ybias import sim
-
-        decoded = []
-        monkeypatch.setattr(
-            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
+    def test_repeated_chi_counts_once_and_exits_before_decoding(self, capsys, decoded):
         rc, out, err = run_cli(
             capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
             "--chis", "4", "--chis", "4", "--trials", "10",
@@ -372,14 +361,8 @@ class TestConvergence:
     @pytest.mark.parametrize(
         "flags", [("--decoder", "exact-y"), ("--chi", "999")], ids=["decoder", "chi"]
     )
-    def test_decoder_flags_are_not_options(self, capsys, monkeypatch, flags):
+    def test_decoder_flags_are_not_options(self, capsys, decoded, flags):
         # The study always decodes with MPS at each --chis value.
-        from ybias import sim
-
-        decoded = []
-        monkeypatch.setattr(
-            sim, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
         rc, out, err = run_cli(
             capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
             "--chis", "2", "--chis", "4", "--trials", "10", *flags,
@@ -390,13 +373,44 @@ class TestConvergence:
 
 
 class TestUsageErrors:
-    def test_oversized_exact_y_group_exits_one_before_decoding(self, capsys, monkeypatch):
-        from ybias import cli
+    SWEEPS = {
+        "run": ("--layout", "rotated", "-j", "3", "-k", "3", "--eta", "inf",
+                "--decoder", "exact-y", "--p", "0.1", "--trials", "10"),
+        "threshold": ("--eta", "inf", "--decoder", "exact-y", "-d", "3", "-d", "5", "-d", "7",
+                      "--p", "0.1", "--p", "0.12", "--p", "0.14", "--trials", "10"),
+        "convergence": ("-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+                        "--chis", "2", "--chis", "4", "--trials", "10"),
+    }
 
-        decoded = []
-        monkeypatch.setattr(
-            cli, "estimate_failure_rate", lambda *args, **kwargs: decoded.append(args)
-        )
+    @pytest.mark.parametrize(
+        "command,key",
+        [("run", "sede"), ("threshold", "j"), ("convergence", "decoder")],
+        ids=["misspelt", "j-to-threshold", "decoder-to-convergence"],
+    )
+    def test_unknown_config_key_exits_one_before_decoding(
+        self, capsys, decoded, tmp_path, command, key
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 2, key: 5}), encoding="utf-8")
+        rc, out, err = run_cli(capsys, command, *self.SWEEPS[command], "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and repr(key) in err
+        assert not decoded
+
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_one_before_decoding(
+        self, capsys, decoded, tmp_path, command, source
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        seed = ("--seed", "-1") if source == "flag" else ("--config", str(cfg))
+        rc, out, err = run_cli(capsys, command, *self.SWEEPS[command], *seed)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: --seed")
+        assert not decoded
+
+    def test_oversized_exact_y_group_exits_one_before_decoding(self, capsys, decoded):
         rc, out, err = run_cli(
             capsys, "run", "--layout", "standard", "-j", "21", "-k", "21", "--eta", "inf",
             "--decoder", "exact-y", "--p", "0.1", "--trials", "10",

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -293,15 +292,6 @@ class TestPropagation:
 
 
 class TestSerialization:
-    def test_json_round_trip_fields(self):
-        code = build_standard_code(2, 3)
-        payload = json.loads(code.to_json())
-        assert payload["layout"] == "standard"
-        assert (payload["j"], payload["k"], payload["n"]) == (2, 3, code.n)
-        assert len(payload["x_checks"]) == code.num_x_checks
-        assert set("".join(payload["x_checks"])) <= {"0", "1"}
-        assert set(payload["logical_x"]) <= set("IXYZ")
-
     def test_code_id(self):
         assert build_standard_code(2, 2).id == "standard-2x2"
         assert build_rotated_code(3, 3).id == "rotated-3x3"

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 import support
+from support import coset_log_probability, cycle_decode, nullspace_basis, sample_error
 from ybias import decoders, tensor
 from ybias.codes import build_rotated_code, build_standard_code, syndrome, syndrome_batch
 from ybias.decoders import (
@@ -23,15 +24,13 @@ from ybias.decoders import (
     _argmax_class,
     _logsumexp,
     candidate_recovery,
-    cycle_decode,
     cycle_decode_batch,
     cycle_failure_bound,
     decoder_from_name,
     logical_class_representatives,
-    repetition_decode,
 )
-from ybias.gf2 import matmul_mod2, nullspace_basis, solve
-from ybias.noise import BiasedNoiseModel, sample_error
+from ybias.gf2 import matmul_mod2, solve
+from ybias.noise import BiasedNoiseModel
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer, is_stabilizer_batch
 from ybias.ycode import cycle_code, y_code_structure
@@ -52,17 +51,6 @@ def triangle_map(m, edge_bits):
         bits = [edge_bits[code.edge_index(*e)] for e in ((a, b), (b, c), (a, c))]
         out[tri] = int(sum(bits) % 2)
     return out
-
-
-class TestRepetition:
-    def test_examples(self):
-        assert repetition_decode([0, 0, 0]) == 0
-        assert repetition_decode([1, 1, 0]) == 1
-        assert repetition_decode([1, 0]) == 0  # exact tie goes to 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            repetition_decode([])
 
 
 class TestCycleDecode:
@@ -831,7 +819,7 @@ def test_shared_sweep_scores_match_four_independent_sweeps(distance, eta, p, see
     shared = MpsDecoder(code, model, 64).decode(s).coset_scores
     f = candidate_recovery(code, s)
     alone = {
-        label: tensor.coset_log_probability(code, model, f.mul(rep), 64)
+        label: coset_log_probability(code, model, f.mul(rep), 64)
         for label, rep in logical_class_representatives(code).items()
     }
     assert shared.keys() == alone.keys()

@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from support import in_rowspace, nullspace_basis
 from ybias import gf2
-from ybias.gf2 import (
-    Gf2Solver,
-    in_rowspace,
-    matmul_mod2,
-    nullspace_basis,
-    rank,
-    rref,
-    solve,
-)
+from ybias.gf2 import Gf2Solver, matmul_mod2, rank, rref, solve
 
 # Row reduction packs rows into 64-bit words, so widths past 64 and 128
 # columns exercise rows spanning two and three words.

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import sample_error, trial_generator
 from ybias.noise import (
     BiasedNoiseModel,
     batch_uniforms,
     counters_per_trial,
     derive_key,
     hashing_bound,
-    sample_error,
     sample_error_classes_batch,
-    trial_generator,
 )
 
 # Bias -> threshold pairs quoted to +-0.1 percentage point.

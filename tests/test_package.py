@@ -1,4 +1,4 @@
-"""The package's public names resolve, and importing it loads no scipy."""
+"""The package's public names are pinned and resolve, and importing it loads no scipy."""
 
 from __future__ import annotations
 
@@ -15,6 +15,51 @@ import pytest
 import ybias
 
 MODULES = ["ybias"] + [f"ybias.{info.name}" for info in pkgutil.iter_modules(ybias.__path__)]
+
+
+# Every module's __all__, in order (None: the module declares none).  Adding or
+# dropping a public name is an edit to this table.
+PUBLIC_SURFACE = {
+    "ybias": (
+        "__version__ StabilizerCode build_standard_code build_rotated_code syndrome "
+        "PauliOperator BiasedNoiseModel hashing_bound CycleCode YCodeStructure cycle_code "
+        "y_code_structure DecodeOutcome UnattainableSyndromeError cycle_failure_bound "
+        "decoder_from_name ExactYDecoder ConcatenatedYDecoder BruteForceDecoder MpsDecoder "
+        "FailureRateResult FailurePoint ThresholdFit estimate_failure_rate convergence_study "
+        "fit_threshold"
+    ),
+    "ybias.cli": None,
+    "ybias.codes": (
+        "StabilizerCode build_standard_code build_rotated_code syndrome "
+        "syndrome_batch y_distance y_logical_count construct_y_logical "
+        "construct_y_stabilizer_group propagate_y_from_top"
+    ),
+    "ybias.decoders": (
+        "DecodeOutcome UnattainableSyndromeError cycle_decode_batch "
+        "cycle_failure_bound candidate_recovery ExactYDecoder ConcatenatedYDecoder "
+        "BruteForceDecoder MpsDecoder decoder_from_name"
+    ),
+    "ybias.gf2": "matmul_mod2 rank rref solve Gf2Solver",
+    "ybias.noise": "BiasedNoiseModel hashing_bound derive_key batch_uniforms counters_per_trial",
+    "ybias.pauli": "PauliOperator",
+    "ybias.sim": (
+        "TrialRecord FailureRateResult ConvergencePoint ConvergenceResult FailurePoint "
+        "ThresholdFit is_stabilizer is_stabilizer_batch estimate_failure_rate convergence_study "
+        "fit_threshold failure_row CSV_COLUMNS"
+    ),
+    "ybias.tensor": (
+        "NetworkLayout SiteTensorSpec Column network_layout build_coset_network "
+        "contract_columns"
+    ),
+    "ybias.ycode": "YCodeStructure y_code_structure CycleCode cycle_code",
+}
+
+
+def test_public_surface_is_pinned():
+    assert sorted(MODULES) == sorted(PUBLIC_SURFACE)
+    for name, expected in PUBLIC_SURFACE.items():
+        exported = getattr(importlib.import_module(name), "__all__", None)
+        assert exported == (None if expected is None else expected.split()), name
 
 
 @pytest.mark.parametrize("name", MODULES)

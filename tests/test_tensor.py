@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import coset_log_probability, sample_error
 from ybias import tensor
 from ybias.codes import build_rotated_code, build_standard_code, rotated_face_included, syndrome
 from ybias.decoders import candidate_recovery, logical_class_representatives
-from ybias.noise import BiasedNoiseModel, sample_error
+from ybias.noise import BiasedNoiseModel
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
 from ybias.tensor import (
@@ -22,7 +23,6 @@ from ybias.tensor import (
     apply_and_truncate,
     build_coset_network,
     contract_columns,
-    coset_log_probability,
     initial_boundary,
     network_layout,
 )

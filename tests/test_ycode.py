@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import support
+from support import nullspace_basis
 from ybias.codes import build_standard_code, syndrome
-from ybias.gf2 import nullspace_basis, rank
+from ybias.gf2 import rank
 from ybias.ycode import cycle_code, extended_diagonal, y_code_structure
 
 
