@@ -242,6 +242,10 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
     chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
     ps = _numbers(_merge(ps, config, "p", []), "--p")
     fmt = _merge(fmt, config, "format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"--format must be 'csv' or 'json', got {fmt!r}")
+    if ps:
+        trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
     seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
     workers = _resolve_workers(_merge(workers, config, "workers"))
     out = _merge(out, config, "out")
@@ -251,8 +255,6 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
         decoders = [decoder_from_name(decoder_name, code, m, chi=chi) for m in models]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if ps:
-        trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
     rows = []
     for model, decoder in zip(models, decoders):
         result = estimate_failure_rate(code, decoder, model, trials, seed, workers=workers)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import Gf2Solver, matmul_mod2
+from .gf2 import Gf2Solver, _read_only, matmul_mod2
 from .pauli import PauliOperator
 
 __all__ = [
@@ -41,16 +41,8 @@ __all__ = [
     "y_distance",
     "y_logical_count",
     "construct_y_logical",
-    "construct_y_stabilizer_group",
     "propagate_y_from_top",
 ]
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    """A read-only uint8 copy, so a shared check matrix cannot be edited in place."""
-    frozen = np.array(matrix, dtype=np.uint8)
-    frozen.setflags(write=False)
-    return frozen
 
 
 class StabilizerCode:
@@ -417,22 +409,6 @@ def corner_path_support(code: StabilizerCode) -> np.ndarray:
     return _collect_support(code, visits)
 
 
-def cyclic_path_support(code: StabilizerCode, start: tuple[int, int]) -> np.ndarray:
-    """Qubit support of the closed billiard orbit through `start` heading (+1,+1)."""
-    j, k = code.j, code.k
-    pos, direction = start, (1, 1)
-    visits = [start]
-    limit = 16 * j * k + 8
-    for _ in range(limit):
-        pos, direction = _step(j, k, pos, direction)
-        if pos == start and direction == (1, 1):
-            break
-        visits.append(pos)
-    else:
-        raise AssertionError(f"billiard orbit from {start} on {code.id} did not close")
-    return _collect_support(code, visits)
-
-
 def construct_y_logical(code: StabilizerCode) -> PauliOperator:
     """A minimum-weight Y-type logical operator.
 
@@ -448,25 +424,6 @@ def construct_y_logical(code: StabilizerCode) -> PauliOperator:
     if syndrome(code, op).any():
         raise AssertionError(f"{code.id}: corner path operator has nonzero syndrome")
     return op
-
-
-def construct_y_stabilizer_group(code: StabilizerCode) -> list[PauliOperator]:
-    """Independent Y-type stabilizer generators (g-1 of them) of a standard code.
-
-    Generator i is the closed billiard orbit through the i-th qubit of the
-    top row, for i = 2..gcd(j,k).
-    """
-    if code.layout != "standard":
-        raise ValueError("Y-type stabilizer generators are a standard-layout construction")
-    g = code.g
-    gens = []
-    for i in range(2, g + 1):
-        support = cyclic_path_support(code, (1, 2 * i - 1))
-        op = PauliOperator.y_type(support)
-        if syndrome(code, op).any():
-            raise AssertionError(f"{code.id}: orbit generator {i} has nonzero syndrome")
-        gens.append(op)
-    return gens
 
 
 # -- zero-filled top-row propagation ---------------------------------------

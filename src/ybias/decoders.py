@@ -27,11 +27,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import tensor
-from .codes import StabilizerCode, construct_y_stabilizer_group
-from .gf2 import Gf2Solver, matmul_mod2, solve
+from .codes import StabilizerCode
+from .gf2 import Gf2Solver, _read_only, matmul_mod2, solve
 from .noise import BiasedNoiseModel
 from .pauli import PauliOperator
-from .ycode import YCodeStructure, cycle_code, y_code_structure
+from .ycode import cycle_code, y_code_structure
 
 __all__ = [
     "DecodeOutcome",
@@ -162,48 +162,75 @@ def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
     return _logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p), axis=-1)
 
 
-def _pure_y_scores(cands: np.ndarray, group: np.ndarray, logical: np.ndarray, p: float):
-    """Scores of the I and L cosets of each candidate, and whether L wins.
+# Bound on the bytes of a cut table's float32 cuts, 4 * 2^g * E for the
+# E = g(g+1)/2 edges of K_{g+1}: standard 17x17 (about 80 MB) fits, 18x18
+# does not.
+_CUT_TABLE_MAX_BYTES = 2**27
 
-    ``cands`` is a (trials, n) block of Y-configurations; each coset is
-    summed over the rows of ``group``, every Y-type stabilizer.  Scores
-    within the tie tolerance go to I, so cosets equal in exact arithmetic
-    (every pair at p = 1/2) never follow rounding.
+
+class _CutTable:
+    """The repetition blocks of a standard code on the edges of K_{g+1}, and every cut.
+
+    Under pure Y the code's Y-kernel is spanned by whole-block flips: flipping
+    the blocks on the edges of a cut of K_{g+1} has zero syndrome, and there
+    are 2^g cuts (vertex 1 fixed on side 0).  Cut i puts vertex v + 2 on
+    side ``(i >> v) & 1``, so the first half (vertex g+1 with vertex 1) are
+    the Y-type stabilizers and the second half the Y logical's coset.  For
+    a Y-configuration c with weight w_e on block e, flipping cut x gives
+
+        |c ^ x| = |c| + sum_e x_e (|B_e| - 2 w_e).
+
+    Members are listed edge by edge, in ``cycle_code(g + 1).edges`` order,
+    each block in its structure order.  Every array is read-only; ``cuts``
+    is a float32 (2^g, E) 0/1 matrix, so its products with small integer
+    vectors are exact.
     """
-    n = group.shape[1]
-    score_i = _pure_y_log_score((cands[..., None, :] ^ group).sum(axis=-1), n, p)
-    score_l = _pure_y_log_score(((cands ^ logical)[..., None, :] ^ group).sum(axis=-1), n, p)
-    return score_i, score_l, score_l > score_i + _TIE_TOLERANCE
 
+    def __init__(self, code: StabilizerCode):
+        g = code.g
+        self.structure = y_code_structure(code.j, code.k, code)
+        self.cycle = cycle_code(g + 1)
+        edge_to_block = {edge: idx for idx, edge in self.structure.cycle_edge_map.items()}
+        self.block_of_edge = [edge_to_block[e] for e in self.cycle.edges]
+        blocks = [self.structure.repetition_blocks[b][1] for b in self.block_of_edge]
+        lengths = [len(members) for members in blocks]
+        self.member_qubit = _read_only(np.concatenate(blocks), np.intp)
+        self.member_edge = _read_only(np.repeat(np.arange(len(blocks)), lengths), np.intp)
+        self.block_starts = _read_only(np.cumsum([0] + lengths[:-1]), np.intp)
+        self.block_lengths = _read_only(lengths, np.float32)
+        index = np.arange(2**g)[:, None]
+        side = np.hstack([np.zeros_like(index), (index >> np.arange(g)) & 1])
+        cuts = np.empty((2**g, len(blocks)), dtype=np.float32)
+        for e, (a, b) in enumerate(self.cycle.edges):
+            cuts[:, e] = side[:, a - 1] ^ side[:, b - 1]
+        cuts.setflags(write=False)
+        self.cuts = cuts
+        # The first half holds 2^(g-1) kernel elements, as many as the group
+        # of Y-type stabilizers; it is that group if its generators, the cuts
+        # around one vertex 2..g, are stabilizers.
+        gens = np.zeros((g - 1, code.n), dtype=np.uint8)
+        gens[:, self.member_qubit] = cuts[1 << np.arange(g - 1)][:, self.member_edge]
+        for solver in (code.x_solver, code.z_solver):
+            if solver.reduce_rowspace_batch(gens).any():
+                raise AssertionError(f"{code.id}: a cut of the first half is not a stabilizer")
 
-# Bound on the bytes of the standard-layout Y-stabilizer group, 2^(g-1) rows
-# of n bits: standard 17x17 (about 36 MB) fits, 19x19 does not.
-_Y_GROUP_MAX_BYTES = 2**26
+    def flip_gains(self, member_bits: np.ndarray) -> np.ndarray:
+        """|B_e| - 2 w_e per edge, for bits of the members on the last axis (float32)."""
+        weights = np.add.reduceat(member_bits, self.block_starts, axis=-1, dtype=np.float32)
+        return self.block_lengths - 2 * weights
 
 
 @lru_cache(maxsize=32)
-def _y_stabilizer_group(code: StabilizerCode) -> np.ndarray:
-    """Every Y-type stabilizer of ``code``, one row of qubit bits each.
-
-    The rotated layout has only the identity.  A standard code has the
-    2^(g-1) products of its g-1 orbit generators; one whose group exceeds
-    ``_Y_GROUP_MAX_BYTES`` is rejected with ValueError before any is built.
-    """
-    if code.layout == "rotated":
-        return np.zeros((1, code.n), dtype=np.uint8)
+def _cut_table(code: StabilizerCode) -> _CutTable:
+    """The cut table of a standard code; ValueError, before any is built, if it is too large."""
     g = code.g
-    group_bytes = 2 ** (g - 1) * code.n
-    if group_bytes > _Y_GROUP_MAX_BYTES:
+    table_bytes = 4 * 2**g * (g * (g + 1) // 2)
+    if table_bytes > _CUT_TABLE_MAX_BYTES:
         raise ValueError(
-            f"{code.id}: exact-y enumerates 2^(g-1) Y-type stabilizers (g = {g}), "
-            f"{group_bytes} bytes for n = {code.n}, above the bound of "
-            f"{_Y_GROUP_MAX_BYTES} bytes"
+            f"{code.id}: the pure-Y decoders score 2^g cuts of K_(g+1) (g = {g}), "
+            f"{table_bytes} bytes, above the bound of {_CUT_TABLE_MAX_BYTES} bytes"
         )
-    gens = np.array([op.x_bits for op in construct_y_stabilizer_group(code)], dtype=np.uint8)
-    subset_bits = (
-        (np.arange(2 ** (g - 1), dtype=np.uint32)[:, None] >> np.arange(g - 1)) & 1
-    ).astype(np.uint8)
-    return matmul_mod2(subset_bits, gens.reshape(g - 1, code.n))
+    return _CutTable(code)
 
 
 class ExactYDecoder:
@@ -214,9 +241,11 @@ class ExactYDecoder:
     class.  On both layouts the candidate is the canonical GF(2) solution
     of the syndrome; ML needs only some representative of its coset, so
     another candidate could change a recovery only on an exact tie.  On
-    the rotated layout the only Y-type stabilizer is the identity.  A
-    standard code whose 2^(g-1) Y-type stabilizers of n bits exceed
-    ``_Y_GROUP_MAX_BYTES`` is rejected with ValueError before any is built.
+    the rotated layout the only Y-type stabilizer is the identity.  On the
+    standard layout each coset's weights come from the code's cut table:
+    one product of the candidates' block gains with the 2^g cuts, whose
+    two halves are the I and L cosets.  A code whose table exceeds
+    ``_CUT_TABLE_MAX_BYTES`` is rejected with ValueError before it is built.
     """
 
     name = "exact-y"
@@ -227,26 +256,37 @@ class ExactYDecoder:
         self.code = code
         self.model = model
         self.params: dict = {}
-        self._group = _y_stabilizer_group(code)
+        self._table = None if code.layout == "rotated" else _cut_table(code)
+
+    def _coset_weights(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of every member of the I and of the L coset, per candidate row."""
+        table = self._table
+        if table is None:
+            logical = self.code.logical_y.x_bits
+            return cands.sum(axis=1)[:, None], (cands ^ logical).sum(axis=1)[:, None]
+        gains = table.flip_gains(cands[:, table.member_qubit])
+        weights = cands.sum(axis=1)[:, None] + gains @ table.cuts.T
+        return np.hsplit(weights, 2)
 
     def _decode_rows(self, syndromes: np.ndarray):
-        """Recoveries, verdicts and (I, L) coset scores for a (trials, checks) block."""
+        """Recoveries, verdicts and (I, L) coset scores for a (trials, checks) block.
+
+        Scores within the tie tolerance go to I, so cosets equal in exact
+        arithmetic (every pair at p = 1/2) never follow rounding.
+        """
         code = self.code
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         cands, attainable = code.y_solver.solve_batch(syndromes)
         if not attainable.all():
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
-        logical = code.logical_y.x_bits
-        score_i = np.empty(len(cands))
-        score_l = np.empty(len(cands))
-        take_l = np.empty(len(cands), dtype=bool)
-        chunk = max(1, 2_000_000 // (self._group.shape[0] * code.n))
+        scores = np.empty((2, len(cands)))
+        chunk = max(1, 2**20 // (2 if self._table is None else len(self._table.cuts)))
         for lo in range(0, len(cands), chunk):
-            part = slice(lo, lo + chunk)
-            score_i[part], score_l[part], take_l[part] = _pure_y_scores(
-                cands[part], self._group, logical, self.model.p
-            )
-        recovery = np.where(take_l[:, None], cands ^ logical, cands)
+            for score, weights in zip(scores, self._coset_weights(cands[lo : lo + chunk])):
+                score[lo : lo + chunk] = _pure_y_log_score(weights, code.n, self.model.p)
+        score_i, score_l = scores
+        take_l = score_l > score_i + _TIE_TOLERANCE
+        recovery = np.where(take_l[:, None], cands ^ code.logical_y.x_bits, cands)
         return recovery, np.where(take_l, "L", "I"), (score_i, score_l)
 
     def decode_batch(self, syndromes: np.ndarray):
@@ -269,12 +309,12 @@ class ExactYDecoder:
 
 
 class _ConcatenatedTools:
-    """Syndrome-conversion matrices and cut tables for one standard code."""
+    """Syndrome-conversion matrices for one standard code, on top of its cut table."""
 
-    def __init__(self, code: StabilizerCode, structure: YCodeStructure):
+    def __init__(self, code: StabilizerCode, table: _CutTable):
         self.solver = code.y_solver
-        g = structure.g
-        self.cycle = cycle_code(g + 1)
+        self.table = table
+        structure = table.structure
 
         transpose_solver = Gf2Solver(code.y_checks.T)
 
@@ -305,40 +345,34 @@ class _ConcatenatedTools:
             u_rel.extend(functional(unit(members[0]) ^ unit(q)) for q in members[1:])
 
         # One parity bit per triangle of K_{g+1}, over block reference qubits.
-        edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
-        block_of_edge = [edge_to_block[e] for e in self.cycle.edges]
         u_tri = []
-        for a, b, c in self.cycle.triangles:
+        for a, b, c in table.cycle.triangles:
             target = np.zeros(code.n, dtype=np.uint8)
             for e in ((a, b), (b, c), (a, c)):
-                target ^= unit(blocks[edge_to_block[e]][0])
+                target ^= unit(blocks[table.block_of_edge[table.cycle.edge_index(*e)]][0])
             u_tri.append(functional(target))
         # One product converts a syndrome; ``parts`` slices out the three kinds of bits.
-        self.conversion = np.array(u_boundary + u_rel + u_tri, dtype=np.uint8)
+        # The fixed operands of the per-decode products are kept in float32.
+        self.conversion = _read_only(u_boundary + u_rel + u_tri, np.float32)
+        self.y_checks = _read_only(code.y_checks, np.float32)
         rel_start, tri_start = len(u_boundary), len(u_boundary) + len(u_rel)
         self.parts = (slice(0, rel_start), slice(rel_start, tri_start), slice(tri_start, None))
 
-        # Every block member, edge by edge: its qubit, its edge, and its row
-        # of u_rel.  A one-member block holds only its reference (row 0).
-        placed = [
-            (q, e, first_rel[b] + i - 1 if i else 0)
-            for e, b in enumerate(block_of_edge)
-            for i, q in enumerate(blocks[b])
-        ]
-        self.member_qubit, self.member_edge, self.member_rel = (
-            np.array(column, dtype=np.int64) for column in zip(*placed)
-        )
-        self.block_lengths = np.bincount(self.member_edge, minlength=len(block_of_edge))
-        verts = ((np.arange(2**g, dtype=np.uint32)[:, None] >> np.arange(g)) & 1).astype(np.uint8)
-        verts = np.hstack([np.zeros((2**g, 1), dtype=np.uint8), verts])
-        self.cuts = np.stack(
-            [verts[:, i1 - 1] ^ verts[:, i2 - 1] for (i1, i2) in self.cycle.edges], axis=1
+        # Each table member's row of u_rel; a one-member block holds only its
+        # reference (row 0).
+        self.member_rel = np.array(
+            [
+                first_rel[b] + i - 1 if i else 0
+                for b in table.block_of_edge
+                for i in range(len(blocks[b]))
+            ],
+            dtype=np.int64,
         )
 
 
 @lru_cache(maxsize=32)
 def _concatenated_tools(code: StabilizerCode) -> _ConcatenatedTools:
-    return _ConcatenatedTools(code, y_code_structure(code.j, code.k, code))
+    return _ConcatenatedTools(code, _cut_table(code))
 
 
 class ConcatenatedYDecoder:
@@ -350,10 +384,12 @@ class ConcatenatedYDecoder:
     The bottom level fixes each block up to one unknown bit; the top level
     then selects, among the 2^g candidate bit patterns (a particular
     solution shifted by the cut space of K_{g+1}), the one of minimum total
-    qubit weight.  The particular solution comes from :func:`gf2.solve` on
-    the fixed K_{g+1} check matrix, which is factored once and then served
-    from gf2's solver cache.  Corrects every error of weight at most
-    (d_Y - 1)/2.
+    qubit weight, scored by one product with the code's cut table.  The
+    particular solution comes from :func:`gf2.solve` on the fixed K_{g+1}
+    check matrix, which is factored once and then served from gf2's solver
+    cache.  Corrects every error of weight at most (d_Y - 1)/2.  A code
+    whose cut table exceeds ``_CUT_TABLE_MAX_BYTES`` is rejected with
+    ValueError before it is built.
     """
 
     name = "concatenated-y"
@@ -367,30 +403,28 @@ class ConcatenatedYDecoder:
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
         code, tools = self.code, self._tools
+        table = tools.table
         s = np.asarray(s, dtype=np.uint8)
         if not tools.solver.is_consistent(s):
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
 
         bits = matmul_mod2(tools.conversion, s)
         boundary_bits, rel_bits, tri_bits = (bits[part] for part in tools.parts)
-        base = solve(tools.cycle.checks, tri_bits)
+        base = solve(table.cycle.checks, tri_bits)
         if base is None:
             raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
 
         member_bits = rel_bits[tools.member_rel]
-        # Per edge, the weight of its block's relative pattern (a small integer,
-        # so the float sum is exact).
-        w_edge = np.bincount(
-            tools.member_edge, weights=member_bits, minlength=tools.block_lengths.size
-        ).astype(np.int64)
-        candidates = base[None, :] ^ tools.cuts
-        costs = candidates.astype(np.int64) @ (tools.block_lengths - 2 * w_edge) + w_edge.sum()
-        best = candidates[int(np.argmin(costs))]
+        # Flipping the blocks of cut x changes the weight of (base ^ x) by
+        # x_e (1 - 2 base_e) gain_e on each edge: the cost of base ^ x up to
+        # a constant, in small integers that float32 sums exactly.
+        costs = table.cuts @ ((1 - 2 * base.astype(np.float32)) * table.flip_gains(member_bits))
+        best = base ^ table.cuts[int(np.argmin(costs))].astype(np.uint8)
 
         y = np.zeros(code.n, dtype=np.uint8)
         y[tools.boundary] = boundary_bits
-        y[tools.member_qubit] = member_bits ^ best[tools.member_edge]
-        if not np.array_equal(matmul_mod2(code.y_checks, y), s):
+        y[table.member_qubit] = member_bits ^ best[table.member_edge]
+        if not np.array_equal(matmul_mod2(tools.y_checks, y), s):
             raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
         return DecodeOutcome(PauliOperator.y_type(y), None, None)
 

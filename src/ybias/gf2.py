@@ -51,6 +51,13 @@ def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (product.astype(np.int32) & 1).astype(np.uint8)
 
 
+def _read_only(matrix, dtype=np.uint8) -> np.ndarray:
+    """A read-only copy of ``matrix`` as ``dtype``, so a shared operand cannot be edited in place."""
+    frozen = np.array(matrix, dtype=dtype)
+    frozen.setflags(write=False)
+    return frozen
+
+
 def _as_bit_array(bits: Iterable[int] | np.ndarray, length: int | None = None) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1 values."""
     arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits, dtype=np.uint8)
@@ -152,18 +159,32 @@ class Gf2Solver:
         self.rows, self.cols = M.shape
         # RREF of [M | I] = [R | T] with R = T M.
         dense, pivots = _reduce(np.hstack([M, np.eye(self.rows, dtype=np.uint8)]))
-        pivots = np.array([c for c in pivots if c < self.cols], dtype=np.intp)
-        pivots.setflags(write=False)
-        self.pivots = pivots
-        self.rank = pivots.size
+        self.pivots = _read_only([c for c in pivots if c < self.cols], np.intp)
+        self.rank = self.pivots.size
         transform = dense[:, self.cols :]
         # x = S b: row of S at each pivot column copies the matching transformed row.
         scatter = np.zeros((self.cols, self.rows), dtype=np.uint8)
-        scatter[pivots] = transform[: self.rank]
-        self.solution_matrix = scatter
+        scatter[self.pivots] = transform[: self.rank]
+        self.solution_matrix = _read_only(scatter)
         # b is attainable iff the transformed rows below the rank are orthogonal to it.
-        self.consistency_matrix = transform[self.rank :]
-        self._reduced_rows = dense[: self.rank, : self.cols]
+        self.consistency_matrix = _read_only(transform[self.rank :])
+        self._reduced_rows = _read_only(dense[: self.rank, : self.cols])
+
+    # float32 copies of the fixed operands, made on first use so that each
+    # product converts only its right-hand side; the uint8 sources are
+    # read-only, so a copy cannot go stale.
+
+    @cached_property
+    def _solution_f32(self) -> np.ndarray:
+        return _read_only(self.solution_matrix, np.float32)
+
+    @cached_property
+    def _consistency_f32(self) -> np.ndarray:
+        return _read_only(self.consistency_matrix, np.float32)
+
+    @cached_property
+    def _reduced_f32(self) -> np.ndarray:
+        return _read_only(self._reduced_rows, np.float32)
 
     @cached_property
     def _tables(self) -> np.ndarray:
@@ -192,13 +213,13 @@ class Gf2Solver:
 
     def is_consistent(self, b: np.ndarray) -> bool:
         """Whether Mx = b has a solution; b must be a 0/1 vector of length rows."""
-        return not matmul_mod2(self.consistency_matrix, _as_bit_array(b, self.rows)).any()
+        return not matmul_mod2(self._consistency_f32, _as_bit_array(b, self.rows)).any()
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         vec = np.asarray(b if isinstance(b, np.ndarray) else list(b), dtype=np.uint8)
         if not self.is_consistent(vec):  # validates vec
             return None
-        return matmul_mod2(self.solution_matrix, vec)
+        return matmul_mod2(self._solution_f32, vec)
 
     def solve_batch(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve for many right-hand sides at once; B is a 0/1 block of shape (count, rows).
@@ -232,4 +253,4 @@ class Gf2Solver:
         if V.ndim != 2 or V.shape[1] != self.cols:
             raise ValueError(f"expected shape (count, {self.cols}), got {V.shape}")
         V = V.astype(np.uint8, copy=False)
-        return V ^ matmul_mod2(V[:, self.pivots], self._reduced_rows)
+        return V ^ matmul_mod2(V[:, self.pivots], self._reduced_f32)

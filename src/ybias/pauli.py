@@ -62,30 +62,9 @@ class PauliOperator:
             raise ValueError(f"unknown Pauli kind {kind!r}")
         return cls(x, z)
 
-    @classmethod
-    def from_string(cls, s: str) -> "PauliOperator":
-        x = np.zeros(len(s), dtype=np.uint8)
-        z = np.zeros(len(s), dtype=np.uint8)
-        for i, ch in enumerate(s):
-            if ch in "XY":
-                x[i] = 1
-            if ch in "ZY":
-                z[i] = 1
-            if ch not in "IXYZ":
-                raise ValueError(f"unknown Pauli character {ch!r}")
-        return cls(x, z)
-
     @property
     def weight(self) -> int:
         return int((self.x_bits | self.z_bits).sum())
-
-    @property
-    def is_y_type(self) -> bool:
-        return bool(np.array_equal(self.x_bits, self.z_bits))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.x_bits.any() and not self.z_bits.any()
 
     def mul(self, other: "PauliOperator") -> "PauliOperator":
         """Group product up to phase: bitwise XOR of the symplectic parts."""

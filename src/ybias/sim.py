@@ -75,10 +75,6 @@ class FailureRateResult:
     decoder_errors: int = 0
     records: tuple[TrialRecord, ...] | None = None
 
-    @property
-    def decoded_trials(self) -> int:
-        return self.trials - self.decoder_errors
-
 
 def is_stabilizer_batch(
     code: StabilizerCode, x_rows: np.ndarray, z_rows: np.ndarray

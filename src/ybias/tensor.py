@@ -429,10 +429,6 @@ class BoundaryMPS:
     log_norm: float = 0.0
     is_zero: bool = False
 
-    @property
-    def bond_dimensions(self) -> tuple[int, ...]:
-        return tuple(t.shape[1] for t in self.tensors[:-1])
-
 
 def initial_boundary(rows: int) -> BoundaryMPS:
     """The trivial product boundary ahead of the first column."""

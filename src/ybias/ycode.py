@@ -48,10 +48,6 @@ class CycleCode:
     def num_checks(self) -> int:
         return len(self.triangles)
 
-    @property
-    def num_independent_checks(self) -> int:
-        return self.num_bits - (self.m - 1)
-
     def edge_index(self, i: int, j: int) -> int:
         return self._edge_index[(i, j) if i < j else (j, i)]
 

@@ -5,7 +5,8 @@ direct enumeration over all Paulis, and kernels from the generic nullspace
 routine — none of it reuses the decoders' scoring internals.  The second
 implementations the package does not run itself live here too: the
 dict-based cycle decoder, the nullspace and row-space routines, one-trial
-sampling, and the one-coset MPS probability.
+sampling, the one-coset MPS probability, Pauli strings and predicates, and
+the billiard-orbit Y-stabilizer group of a standard code.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ybias import tensor
-from ybias.codes import StabilizerCode, syndrome
-from ybias.gf2 import _as_bit_array, _as_bit_matrix, rank, rref, solve
+from ybias.codes import StabilizerCode, _collect_support, _step, syndrome
+from ybias.gf2 import _as_bit_array, _as_bit_matrix, matmul_mod2, rank, rref, solve
 from ybias.noise import BiasedNoiseModel, counters_per_trial, sample_error_classes_batch
 from ybias.pauli import PauliOperator
 from ybias.sim import is_stabilizer
@@ -235,3 +236,75 @@ def merged_row_by_row_scores(columns) -> np.ndarray:
 def sample_syndromes(code: StabilizerCode, model: BiasedNoiseModel, rng, count: int) -> np.ndarray:
     """Syndromes of `count` errors drawn from the model (may repeat)."""
     return np.stack([syndrome(code, sample_error(model, code.n, rng)) for _ in range(count)])
+
+
+def pauli_from_string(s: str) -> PauliOperator:
+    """The Pauli written one character (I, X, Y or Z) per qubit."""
+    x = np.zeros(len(s), dtype=np.uint8)
+    z = np.zeros(len(s), dtype=np.uint8)
+    for i, ch in enumerate(s):
+        if ch in "XY":
+            x[i] = 1
+        if ch in "ZY":
+            z[i] = 1
+        if ch not in "IXYZ":
+            raise ValueError(f"unknown Pauli character {ch!r}")
+    return PauliOperator(x, z)
+
+
+def is_identity(op: PauliOperator) -> bool:
+    return not op.x_bits.any() and not op.z_bits.any()
+
+
+def is_y_type(op: PauliOperator) -> bool:
+    return bool(np.array_equal(op.x_bits, op.z_bits))
+
+
+# -- billiard orbits: the Y-type stabilizers of a standard code -------------
+
+
+def cyclic_path_support(code: StabilizerCode, start: tuple[int, int]) -> np.ndarray:
+    """Qubit support of the closed billiard orbit through `start` heading (+1,+1)."""
+    j, k = code.j, code.k
+    pos, direction = start, (1, 1)
+    visits = [start]
+    limit = 16 * j * k + 8
+    for _ in range(limit):
+        pos, direction = _step(j, k, pos, direction)
+        if pos == start and direction == (1, 1):
+            break
+        visits.append(pos)
+    else:
+        raise AssertionError(f"billiard orbit from {start} on {code.id} did not close")
+    return _collect_support(code, visits)
+
+
+def construct_y_stabilizer_group(code: StabilizerCode) -> list[PauliOperator]:
+    """Independent Y-type stabilizer generators (g-1 of them) of a standard code.
+
+    Generator i is the closed billiard orbit through the i-th qubit of the
+    top row, for i = 2..gcd(j,k).
+    """
+    if code.layout != "standard":
+        raise ValueError("Y-type stabilizer generators are a standard-layout construction")
+    g = code.g
+    gens = []
+    for i in range(2, g + 1):
+        support = cyclic_path_support(code, (1, 2 * i - 1))
+        op = PauliOperator.y_type(support)
+        if syndrome(code, op).any():
+            raise AssertionError(f"{code.id}: orbit generator {i} has nonzero syndrome")
+        gens.append(op)
+    return gens
+
+
+def y_stabilizer_group(code: StabilizerCode) -> np.ndarray:
+    """Every Y-type stabilizer of a standard code, one row of qubit bits each.
+
+    The 2^(g-1) products of the billiard-orbit generators, built without the
+    code's block structure.
+    """
+    gens = [op.x_bits for op in construct_y_stabilizer_group(code)]
+    count = len(gens)
+    subsets = ((np.arange(2**count)[:, None] >> np.arange(count)) & 1).astype(np.uint8)
+    return matmul_mod2(subsets, np.array(gens, dtype=np.uint8).reshape(count, code.n))

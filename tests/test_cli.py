@@ -31,6 +31,22 @@ def decoded(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Every code build the CLI attempts; each one raises, so none completes."""
+    from ybias import cli
+
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("a code was built before validation finished")
+
+    for name in ("build_standard_code", "build_rotated_code"):
+        monkeypatch.setattr(cli, name, refuse)
+    return calls
+
+
 def data_rows(text):
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     header = lines[0].split(",")
@@ -418,6 +434,29 @@ class TestUsageErrors:
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "standard-21x21" in err and "g = 21" in err
         assert not decoded
+
+    @pytest.mark.parametrize(
+        "config, args, option",
+        [
+            # A large code, so that a late check would be slow to reach.
+            (None, ("--layout", "standard", "-j", "17", "-k", "17", "--eta", "inf",
+                    "--decoder", "concatenated-y", "--p", "0.1"), "--trials"),
+            ({"layout": "rotated", "j": 3, "k": 3, "eta": "inf", "decoder": "exact-y",
+              "p": [0.1], "trials": 5, "format": "xml"}, (), "--format"),
+        ],
+        ids=["missing-trials", "format-key"],
+    )
+    def test_run_usage_error_exits_one_before_any_code_is_built(
+        self, capsys, built, tmp_path, config, args, option
+    ):
+        if config is not None:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            args = (*args, "--config", str(cfg))
+        rc, out, err = run_cli(capsys, "run", *args)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and option in err
+        assert not built
 
     def test_unknown_command_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "does-not-exist")

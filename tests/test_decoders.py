@@ -156,22 +156,23 @@ def _loop_assembled_y_recovery(code, s):
     where ``ConcatenatedYDecoder.decode`` uses precomputed index arrays.
     """
     tools = decoders._concatenated_tools(code)
+    cycle, cuts = tools.table.cycle, tools.table.cuts.astype(np.uint8)
     structure = y_code_structure(code.j, code.k, code)
     u_boundary, u_rel, u_tri = (tools.conversion[part] for part in tools.parts)
     assert not u_rel[0].any()
     rel_bits = matmul_mod2(u_rel[1:], s)
-    base = solve(tools.cycle.checks, matmul_mod2(u_tri, s))
+    base = solve(cycle.checks, matmul_mod2(u_tri, s))
     block_members = [np.array(members) for _, members in structure.repetition_blocks]
     rel_slices, pos = [], 0
     for members in block_members:
         rel_slices.append((pos, pos + len(members) - 1))
         pos += len(members) - 1
     edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
-    block_of_edge = [edge_to_block[e] for e in tools.cycle.edges]
+    block_of_edge = [edge_to_block[e] for e in cycle.edges]
     block_lengths = np.array([len(block_members[b]) for b in block_of_edge], dtype=np.int64)
     block_w = np.array([int(rel_bits[a:b].sum()) for a, b in rel_slices], dtype=np.int64)
     w_edge = block_w[block_of_edge]
-    candidates = base[None, :] ^ tools.cuts
+    candidates = base[None, :] ^ cuts
     costs = candidates.astype(np.int64) @ (block_lengths - 2 * w_edge) + w_edge.sum()
     best = candidates[int(np.argmin(costs))]
     y = np.zeros(code.n, dtype=np.uint8)
@@ -200,7 +201,7 @@ class TestConcatenated:
         for j, k in [(4, 4), (3, 4)]:
             code = build_standard_code(j, k)
             outcome = ConcatenatedYDecoder(code).decode(np.zeros(code.num_checks, dtype=np.uint8))
-            assert outcome.recovery.is_identity
+            assert support.is_identity(outcome.recovery)
 
     def test_coprime_3x4_corrects_every_single_y_exactly(self):
         code = build_standard_code(3, 4)
@@ -231,7 +232,7 @@ class TestConcatenated:
             e = (rng.random(code.n) < 0.25).astype(np.uint8)
             s = y_syndrome(code, e)
             outcome = decoder.decode(s)
-            assert outcome.recovery.is_y_type
+            assert support.is_y_type(outcome.recovery)
             assert np.array_equal(y_syndrome(code, outcome.recovery.x_bits), s)
 
     def test_rotated_layout_rejected(self):
@@ -351,7 +352,7 @@ class TestExactML:
             decoder = ExactYDecoder(code, PURE_Y(0.2))
             outcome = decoder.decode(np.zeros(code.num_checks, np.uint8))
             assert outcome.verdict == "I"
-            assert outcome.recovery.is_identity
+            assert support.is_identity(outcome.recovery)
 
     def test_finite_bias_rejected(self):
         code = build_rotated_code(3, 3)
@@ -494,17 +495,60 @@ class TestExactML:
 
     @pytest.mark.parametrize("size", [19, 21])
     def test_oversized_standard_group_rejected_before_it_is_built(self, size, monkeypatch):
-        def forbidden(code):
-            raise AssertionError("stabilizer group built for an oversized code")
+        # Both standard-layout pure-Y decoders read the cut table, whose 2^g
+        # rows span the Y-stabilizer group and its logical coset; each must
+        # refuse it from g alone, before the block structure is extracted.
+        def forbidden(*args):
+            raise AssertionError("cut table built for an oversized code")
 
-        monkeypatch.setattr(decoders, "construct_y_stabilizer_group", forbidden)
-        with pytest.raises(ValueError, match=rf"standard-{size}x{size}.*g = {size}.*bytes"):
-            ExactYDecoder(build_standard_code(size, size), PURE_Y(0.1))
+        monkeypatch.setattr(decoders, "y_code_structure", forbidden)
+        code = build_standard_code(size, size)
+        for build in (lambda: ExactYDecoder(code, PURE_Y(0.1)), lambda: ConcatenatedYDecoder(code)):
+            with pytest.raises(ValueError, match=rf"standard-{size}x{size}.*g = {size}.*bytes"):
+                build()
 
     @pytest.mark.parametrize("size", [9, 13, 17])
     def test_standard_group_within_the_bound_builds(self, size):
-        decoder = ExactYDecoder(build_standard_code(size, size), PURE_Y(0.1))
-        assert decoder._group.shape == (2 ** (size - 1), decoder.code.n)
+        code = build_standard_code(size, size)
+        table = ExactYDecoder(code, PURE_Y(0.1))._table
+        assert table.cuts.shape == (2**size, size * (size + 1) // 2)
+        assert ConcatenatedYDecoder(code)._tools.table is table
+
+    @pytest.mark.parametrize("j,k", [(3, 4), (4, 6), (6, 9), (9, 9), (12, 8), (13, 13)])
+    def test_cut_table_scores_equal_the_group_oracle(self, j, k):
+        # The oracle sums each coset over the billiard-orbit Y-stabilizer
+        # group, built without the block structure the table comes from.
+        code = build_standard_code(j, k)
+        group = support.y_stabilizer_group(code)
+        table = decoders._cut_table(code)
+        flips = np.zeros((len(table.cuts), code.n), dtype=np.uint8)
+        flips[:, table.member_qubit] = table.cuts[:, table.member_edge]
+        half = len(table.cuts) // 2
+        assert {row.tobytes() for row in flips[:half]} == {row.tobytes() for row in group}
+        logical = code.logical_y.x_bits
+        rng = np.random.default_rng(j * 100 + k)
+        for p in (0.05, 0.2, 0.4):
+            decoder = ExactYDecoder(code, PURE_Y(p))
+            for _ in range(15):
+                s = y_syndrome(code, (rng.random(code.n) < p).astype(np.uint8))
+                outcome = decoder.decode(s)
+                cand = code.y_solver.solve(s)
+                want = {
+                    label: float(decoders._pure_y_log_score((member ^ group).sum(axis=1), code.n, p))
+                    for label, member in (("I", cand), ("L", cand ^ logical))
+                }
+                for label in "IL":
+                    assert outcome.coset_scores[label] == pytest.approx(want[label], rel=1e-12)
+                want_verdict = "L" if want["L"] > want["I"] + decoders._TIE_TOLERANCE else "I"
+                assert outcome.verdict == want_verdict
+                want_recovery = cand ^ logical if want_verdict == "L" else cand
+                assert np.array_equal(outcome.recovery.x_bits, want_recovery)
+
+    def test_cut_table_is_read_only(self):
+        table = decoders._cut_table(build_standard_code(4, 6))
+        for name in ("member_qubit", "member_edge", "block_starts", "block_lengths", "cuts"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0
 
     def test_tie_probability_half_at_p_half(self):
         # At p = 1/2 both cosets weigh the same; the identity class must win

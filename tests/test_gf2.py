@@ -274,3 +274,17 @@ def test_solve_batch_table_product_matches_references(rows):
         consistent ^= True
         again, still = solver.solve_batch(arbitrary)
         assert np.array_equal(again ^ 1, X) and np.array_equal(~still, consistent)
+
+
+def test_fixed_operands_are_read_only():
+    # The float32 copies are made once from these arrays, so an in-place
+    # edit would leave them stale; every fixed operand refuses one.
+    m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    solver = Gf2Solver(m)
+    assert solver.solve(np.array([0, 1, 1], dtype=np.uint8)) is not None
+    solver.reduce_rowspace_batch(m)  # fills every float32 copy
+    for name in ("solution_matrix", "consistency_matrix", "pivots", "_reduced_rows",
+                 "_solution_f32", "_consistency_f32", "_reduced_f32"):
+        operand = getattr(solver, name)
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0

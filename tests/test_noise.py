@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import sample_error, trial_generator
+from support import is_identity, is_y_type, sample_error, trial_generator
 from ybias.noise import (
     BiasedNoiseModel,
     batch_uniforms,
@@ -64,13 +64,13 @@ class TestSampling:
         model = BiasedNoiseModel(p=0.0, eta=1.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert sample_error(model, 12, rng).is_identity
+            assert is_identity(sample_error(model, 12, rng))
 
     def test_pure_y_outputs_are_y_type(self):
         model = BiasedNoiseModel(p=0.3, eta=math.inf)
         rng = np.random.default_rng(4)
         op = sample_error(model, 4000, rng)
-        assert op.is_y_type
+        assert is_y_type(op)
         assert op.weight > 0
 
     def test_depolarizing_fractions_within_5_sigma(self):

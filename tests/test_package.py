@@ -32,7 +32,7 @@ PUBLIC_SURFACE = {
     "ybias.codes": (
         "StabilizerCode build_standard_code build_rotated_code syndrome "
         "syndrome_batch y_distance y_logical_count construct_y_logical "
-        "construct_y_stabilizer_group propagate_y_from_top"
+        "propagate_y_from_top"
     ),
     "ybias.decoders": (
         "DecodeOutcome UnattainableSyndromeError cycle_decode_batch "

@@ -260,7 +260,7 @@ class TestContractionMechanics:
         mps = initial_boundary(4)
         assert len(mps.tensors) == 4
         assert mps.log_norm == 0.0 and not mps.is_zero
-        assert mps.bond_dimensions == (1, 1, 1)
+        assert tuple(t.shape[1] for t in mps.tensors[:-1]) == (1, 1, 1)
 
     def test_zero_state_short_circuits(self):
         mps = BoundaryMPS([np.ones((1, 1, 1))] * 2, is_zero=True)
