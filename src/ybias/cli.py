@@ -25,6 +25,8 @@ from .codes import (
 from .decoders import decoder_from_name
 from .noise import BiasedNoiseModel, hashing_bound
 from .sim import (
+    _NU_BOUNDS,
+    _PC_BOUNDS,
     FailurePoint,
     convergence_study,
     csv_text,
@@ -305,6 +307,11 @@ def threshold_cmd(
     pc_init = _merge(pc_init, config, "pc_init")
     pc_init = None if pc_init is None else _number(pc_init, "--pc-init")
     nu_init = _number(_merge(nu_init, config, "nu_init", 1.0), "--nu-init")
+    for name, value, (lo, hi) in (
+        ("--pc-init", pc_init, _PC_BOUNDS), ("--nu-init", nu_init, _NU_BOUNDS)
+    ):
+        if value is not None and not lo <= value <= hi:  # also refuses nan
+            raise ConfigError(f"{name} must lie within the fit's bounds [{lo}, {hi}], got {value}")
     if len(set(distances)) < 3:
         raise ConfigError(f"need >= 3 distinct distances, got {distances}")
     if len(set(ps)) < 3:

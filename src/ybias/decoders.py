@@ -5,10 +5,13 @@ One class per algorithm: :class:`ExactYDecoder`, :class:`ConcatenatedYDecoder`,
 noise model once, in ``__init__``.  ``decode(s)`` takes one syndrome (X-check
 bits then Z-check bits, in check construction order) and returns a
 :class:`DecodeOutcome`; ``ExactYDecoder.decode_batch`` takes a block of
-syndromes, one per row, and returns recoveries and verdicts.  Decoders read
-syndromes only, never errors, and judge nothing: ``sim`` judges success by
-whether recovery * error lies in the stabilizer group.  Verdicts are argmax
-classes relative to each decoder's own candidate recovery.
+syndromes, one per row, and returns recoveries and verdicts.  On the
+standard layout both pure-Y decoders start from the canonical GF(2)
+solution of the syndrome and score it against the code's cut table of
+K_{g+1} (:class:`_CutTable`).  Decoders read syndromes only, never errors,
+and judge nothing: ``sim`` judges success by whether recovery * error lies
+in the stabilizer group.  Verdicts are argmax classes relative to each
+decoder's own candidate recovery.
 
 Tie-breaking is deterministic everywhere: coset log-scores within 1e-9 of
 each other are tied, and ties prefer I, then X, Y, Z, so a verdict never
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import tensor
 from .codes import StabilizerCode
-from .gf2 import Gf2Solver, _read_only, matmul_mod2, solve
+from .gf2 import _read_only, matmul_mod2, solve
 from .noise import BiasedNoiseModel
 from .pauli import PauliOperator
 from .ycode import cycle_code, y_code_structure
@@ -96,8 +99,9 @@ def _triangle_edge_indices(m: int) -> np.ndarray:
         [
             [code.edge_index(a, b), code.edge_index(b, c), code.edge_index(a, c)]
             for (a, b, c) in code.triangles
-        ]
-    )
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 3)
 
 
 def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
@@ -180,19 +184,18 @@ class _CutTable:
 
         |c ^ x| = |c| + sum_e x_e (|B_e| - 2 w_e).
 
-    Members are listed edge by edge, in ``cycle_code(g + 1).edges`` order,
-    each block in its structure order.  Every array is read-only; ``cuts``
-    is a float32 (2^g, E) 0/1 matrix, so its products with small integer
-    vectors are exact.
+    Members are listed block by block in ``y_code_structure`` order, which
+    is ``cycle_code(g + 1).edges`` order, and each block's first member is
+    its reference.  Every array is read-only; ``cuts`` is a float32
+    (2^g, E) 0/1 matrix, so its products with small integer vectors are
+    exact.
     """
 
     def __init__(self, code: StabilizerCode):
         g = code.g
-        self.structure = y_code_structure(code.j, code.k, code)
         self.cycle = cycle_code(g + 1)
-        edge_to_block = {edge: idx for idx, edge in self.structure.cycle_edge_map.items()}
-        self.block_of_edge = [edge_to_block[e] for e in self.cycle.edges]
-        blocks = [self.structure.repetition_blocks[b][1] for b in self.block_of_edge]
+        structure = y_code_structure(code.j, code.k, code)
+        blocks = [members for _, members in structure.repetition_blocks]
         lengths = [len(members) for members in blocks]
         self.member_qubit = _read_only(np.concatenate(blocks), np.intp)
         self.member_edge = _read_only(np.repeat(np.arange(len(blocks)), lengths), np.intp)
@@ -308,85 +311,21 @@ class ExactYDecoder:
 # -- concatenated decoder --------------------------------------------------
 
 
-class _ConcatenatedTools:
-    """Syndrome-conversion matrices for one standard code, on top of its cut table."""
-
-    def __init__(self, code: StabilizerCode, table: _CutTable):
-        self.solver = code.y_solver
-        self.table = table
-        structure = table.structure
-
-        transpose_solver = Gf2Solver(code.y_checks.T)
-
-        def functional(target_bits: np.ndarray) -> np.ndarray:
-            u = transpose_solver.solve(target_bits)
-            if u is None:
-                raise AssertionError(
-                    f"{code.id}: required parity functional outside the check row space"
-                )
-            return u
-
-        def unit(q: int) -> np.ndarray:
-            e = np.zeros(code.n, dtype=np.uint8)
-            e[q] = 1
-            return e
-
-        # Boundary qubits are read out directly by weight-1 combinations.
-        self.boundary = np.array(structure.boundary_zero_qubits, dtype=np.int64)
-        u_boundary = [functional(unit(q)) for q in self.boundary]
-
-        # In-block relative bits against each block's reference qubit (its
-        # first member).  Row 0 of u_rel is zero: the reference's own bit.
-        blocks = [members for _, members in structure.repetition_blocks]
-        u_rel = [np.zeros(code.num_checks, dtype=np.uint8)]
-        first_rel = []
-        for members in blocks:
-            first_rel.append(len(u_rel))
-            u_rel.extend(functional(unit(members[0]) ^ unit(q)) for q in members[1:])
-
-        # One parity bit per triangle of K_{g+1}, over block reference qubits.
-        u_tri = []
-        for a, b, c in table.cycle.triangles:
-            target = np.zeros(code.n, dtype=np.uint8)
-            for e in ((a, b), (b, c), (a, c)):
-                target ^= unit(blocks[table.block_of_edge[table.cycle.edge_index(*e)]][0])
-            u_tri.append(functional(target))
-        # One product converts a syndrome; ``parts`` slices out the three kinds of bits.
-        # The fixed operands of the per-decode products are kept in float32.
-        self.conversion = _read_only(u_boundary + u_rel + u_tri, np.float32)
-        self.y_checks = _read_only(code.y_checks, np.float32)
-        rel_start, tri_start = len(u_boundary), len(u_boundary) + len(u_rel)
-        self.parts = (slice(0, rel_start), slice(rel_start, tri_start), slice(tri_start, None))
-
-        # Each table member's row of u_rel; a one-member block holds only its
-        # reference (row 0).
-        self.member_rel = np.array(
-            [
-                first_rel[b] + i - 1 if i else 0
-                for b in table.block_of_edge
-                for i in range(len(blocks[b]))
-            ],
-            dtype=np.int64,
-        )
-
-
-@lru_cache(maxsize=32)
-def _concatenated_tools(code: StabilizerCode) -> _ConcatenatedTools:
-    return _ConcatenatedTools(code, _cut_table(code))
-
-
 class ConcatenatedYDecoder:
     """Level-by-level decoding of a pure-Y syndrome on a standard code.
 
-    The surface syndrome is converted, by one product with a precomputed
-    stack of GF(2) combinations, into boundary-qubit readouts, in-block
-    relative patterns, and triangle parity bits of the top-level cycle code.
-    The bottom level fixes each block up to one unknown bit; the top level
-    then selects, among the 2^g candidate bit patterns (a particular
-    solution shifted by the cut space of K_{g+1}), the one of minimum total
-    qubit weight, scored by one product with the code's cut table.  The
-    particular solution comes from :func:`gf2.solve` on the fixed K_{g+1}
-    check matrix, which is factored once and then served from gf2's solver
+    Starts from the canonical GF(2) solution of the syndrome, the candidate
+    exact-y takes too.  Every Y-configuration with that syndrome differs
+    from it by whole-block flips along a cut of K_{g+1}, so the candidate
+    already fixes what both levels read: the boundary qubits, each block's
+    bits relative to its reference (first) member, and the triangle
+    parities of the reference bits.  The bottom level fixes each block up
+    to its reference bit; the top level then selects, among the 2^g
+    reference patterns with those parities (a particular solution shifted
+    by the cut space of K_{g+1}), the one of minimum total qubit weight,
+    scored by one product with the code's cut table.  The particular
+    solution comes from :func:`gf2.solve` on the fixed K_{g+1} check
+    matrix, which is factored once and then served from gf2's solver
     cache.  Corrects every error of weight at most (d_Y - 1)/2.  A code
     whose cut table exceeds ``_CUT_TABLE_MAX_BYTES`` is rejected with
     ValueError before it is built.
@@ -398,33 +337,33 @@ class ConcatenatedYDecoder:
         if code.layout != "standard":
             raise ValueError("concatenated-y requires the standard layout")
         self.code = code
-        self._tools = _concatenated_tools(code)
+        self._table = _cut_table(code)
+        # Row i holds the i-th edge of each triangle of K_{g+1}, as edge indices.
+        self._triangle_edges = np.ascontiguousarray(_triangle_edge_indices(code.g + 1).T)
+        # The fixed operand of the per-decode product, kept in float32.
+        self._y_checks = _read_only(code.y_checks, np.float32)
         self.params: dict = {}
 
     def decode(self, s: np.ndarray) -> DecodeOutcome:
-        code, tools = self.code, self._tools
-        table = tools.table
+        code, table = self.code, self._table
         s = np.asarray(s, dtype=np.uint8)
-        if not tools.solver.is_consistent(s):
+        cand = code.y_solver.solve(s)
+        if cand is None:
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
 
-        bits = matmul_mod2(tools.conversion, s)
-        boundary_bits, rel_bits, tri_bits = (bits[part] for part in tools.parts)
-        base = solve(table.cycle.checks, tri_bits)
-        if base is None:
-            raise AssertionError(f"{code.id}: converted cycle syndrome inconsistent")
-
-        member_bits = rel_bits[tools.member_rel]
+        ref = cand[table.member_qubit[table.block_starts]]
+        member_bits = cand[table.member_qubit] ^ ref[table.member_edge]
+        tri = np.bitwise_xor.reduce(ref[self._triangle_edges], axis=0)
+        base = solve(table.cycle.checks, tri)
         # Flipping the blocks of cut x changes the weight of (base ^ x) by
         # x_e (1 - 2 base_e) gain_e on each edge: the cost of base ^ x up to
         # a constant, in small integers that float32 sums exactly.
         costs = table.cuts @ ((1 - 2 * base.astype(np.float32)) * table.flip_gains(member_bits))
         best = base ^ table.cuts[int(np.argmin(costs))].astype(np.uint8)
 
-        y = np.zeros(code.n, dtype=np.uint8)
-        y[tools.boundary] = boundary_bits
+        y = cand.copy()
         y[table.member_qubit] = member_bits ^ best[table.member_edge]
-        if not np.array_equal(matmul_mod2(tools.y_checks, y), s):
+        if not np.array_equal(matmul_mod2(self._y_checks, y), s):
             raise AssertionError(f"{code.id}: concatenated recovery syndrome mismatch")
         return DecodeOutcome(PauliOperator.y_type(y), None, None)
 

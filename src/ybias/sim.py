@@ -316,6 +316,11 @@ def _floored_stderr(pt: FailurePoint) -> float:
     )
 
 
+# The fit's bounds on p_c and nu; an initial guess outside them is refused.
+_PC_BOUNDS = (1e-6, 1.0 - 1e-6)
+_NU_BOUNDS = (0.2, 10.0)
+
+
 def _fit_once(
     points: Sequence[FailurePoint], nu_init: float, pc_init: float
 ) -> np.ndarray:
@@ -335,7 +340,10 @@ def _fit_once(
     result = scipy.optimize.least_squares(
         residuals,
         x0,
-        bounds=([1e-6, 0.2, -np.inf, -np.inf, -np.inf], [1.0 - 1e-6, 10.0, np.inf, np.inf, np.inf]),
+        bounds=(
+            [_PC_BOUNDS[0], _NU_BOUNDS[0], -np.inf, -np.inf, -np.inf],
+            [_PC_BOUNDS[1], _NU_BOUNDS[1], np.inf, np.inf, np.inf],
+        ),
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,

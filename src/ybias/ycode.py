@@ -79,7 +79,12 @@ def cycle_code(m: int) -> CycleCode:
 
 @dataclass(frozen=True)
 class YCodeStructure:
-    """Repetition-block / cycle-code factorization of a standard j x k code."""
+    """Repetition-block / cycle-code factorization of a standard j x k code.
+
+    ``repetition_blocks`` holds one (length, members) pair per edge of
+    K_{g+1}, in ``cycle_code(g + 1).edges`` order (lexicographic vertex
+    pairs).
+    """
 
     j: int
     k: int
@@ -88,7 +93,6 @@ class YCodeStructure:
     repetition_blocks: tuple[tuple[int, tuple[int, ...]], ...]
     boundary_zero_qubits: tuple[int, ...]
     cycle_order: int
-    cycle_edge_map: dict[int, tuple[int, int]]
     extended_diagonals: tuple[PauliOperator, ...]
 
     @property
@@ -146,16 +150,12 @@ def y_code_structure(j: int, k: int, code: StabilizerCode | None = None) -> YCod
                 f"qubit {q} of {code.id} crossed by {len(crossing)} diagonals"
             )
 
-    blocks: list[tuple[int, tuple[int, ...]]] = []
-    edge_map: dict[int, tuple[int, int]] = {}
-    for edge in sorted(by_edge):
-        members = tuple(by_edge[edge])
-        edge_map[len(blocks)] = edge
-        blocks.append((len(members), members))
+    edges = cycle_code(g + 1).edges
+    if sorted(by_edge) != list(edges):
+        raise AssertionError(f"{code.id}: blocks do not match the edges of K_(g+1) one to one")
+    blocks = tuple((len(by_edge[e]), tuple(by_edge[e])) for e in edges)
 
-    structure = YCodeStructure(
-        j, k, g, t, tuple(blocks), tuple(boundary), g + 1, edge_map, diagonals
-    )
+    structure = YCodeStructure(j, k, g, t, blocks, tuple(boundary), g + 1, diagonals)
     _check_multiplicities(structure, code)
     return structure
 
@@ -177,5 +177,3 @@ def _check_multiplicities(structure: YCodeStructure, code: StabilizerCode) -> No
         )
     if structure.total_block_membership + len(structure.boundary_zero_qubits) != code.n:
         raise AssertionError(f"{code.id}: block membership does not cover the code")
-    if len(structure.repetition_blocks) != (g + 1) * g // 2:
-        raise AssertionError(f"{code.id}: block count != edges of K_(g+1)")

@@ -295,6 +295,23 @@ class TestThreshold:
         assert len(payload["rows"]) == 9
         assert payload["metadata"]["command"] == "threshold"
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--nu-init", "0.1"), ("--nu-init", "10.5"), ("--nu-init", "nan"),
+         ("--pc-init", "nan"), ("--pc-init", "inf")],
+    )
+    def test_fit_guess_outside_the_fit_bounds_exits_one_before_decoding(
+        self, capsys, decoded, flag, value
+    ):
+        rc, out, err = run_cli(
+            capsys, "threshold", "--eta", "inf", "--decoder", "exact-y",
+            "-d", "3", "-d", "5", "-d", "7", "--p", "0.1", "--p", "0.12", "--p", "0.14",
+            "--trials", "10", flag, value,
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {flag}") and "bounds" in err
+        assert not decoded
+
     def test_too_few_distances_exit_one(self, capsys):
         rc, _, err = run_cli(
             capsys, "threshold", "--eta", "inf", "--decoder", "exact-y",
@@ -433,6 +450,15 @@ class TestUsageErrors:
         )
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "standard-21x21" in err and "g = 21" in err
+        assert not decoded
+
+    def test_oversized_brute_force_code_exits_one_before_decoding(self, capsys, decoded):
+        rc, out, err = run_cli(
+            capsys, "run", "--layout", "rotated", "-j", "5", "-k", "5", "--eta", "0.5",
+            "--decoder", "brute-force", "--p", "0.1", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "n <= 16" in err
         assert not decoded
 
     @pytest.mark.parametrize(

@@ -148,44 +148,74 @@ class TestCycleFailureBound:
             cycle_failure_bound(10, p)
 
 
+@functools.lru_cache(maxsize=None)
+def _assembly_reference(code):
+    """Parity functionals and cuts of the per-block assembly, built without the decoder.
+
+    Each bit the concatenated decoder reads is the parity of a target set of
+    qubits, the same on every Y-configuration with syndrome s; it is u . s
+    for any u with y_checks^T u = target.  Blocks are matched to the edges
+    of K_(g+1) by the two extended diagonals that cross them.
+    """
+    structure = y_code_structure(code.j, code.k, code)
+    cycle = cycle_code(code.g + 1)
+    crossings = np.stack([op.x_bits for op in structure.extended_diagonals])
+    by_edge = {
+        tuple(int(i) + 1 for i in np.flatnonzero(crossings[:, members[0]])): members
+        for _, members in structure.repetition_blocks
+    }
+    blocks = [np.array(by_edge[e]) for e in cycle.edges]
+
+    def functional(qubits):
+        target = np.zeros(code.n, dtype=np.uint8)
+        for q in qubits:
+            target[q] ^= 1
+        u = solve(code.y_checks.T, target)
+        assert u is not None
+        return u
+
+    boundary = np.array(structure.boundary_zero_qubits, dtype=np.intp)
+    u_boundary = np.array([functional([q]) for q in boundary]).reshape(-1, code.num_checks)
+    u_rel = [np.array([functional([members[0], q]) for q in members]) for members in blocks]
+    refs = [members[0] for members in blocks]
+    u_tri = np.array(
+        [
+            functional([refs[cycle.edge_index(*e)] for e in ((a, b), (b, c), (a, c))])
+            for a, b, c in cycle.triangles
+        ]
+    ).reshape(-1, code.num_checks)
+    side = np.zeros((2**code.g, code.g + 1), dtype=np.uint8)
+    side[:, 1:] = (np.arange(2**code.g)[:, None] >> np.arange(code.g)) & 1
+    ends = np.array(cycle.edges) - 1
+    cuts = side[:, ends[:, 0]] ^ side[:, ends[:, 1]]
+    return cycle, blocks, boundary, u_boundary, u_rel, u_tri, cuts
+
+
 def _loop_assembled_y_recovery(code, s):
     """Concatenated-y recovery bits by the per-edge assembly loop, as a reference.
 
-    Rebuilds the block slices from the code's structure and sums each
-    block's relative bits and assembles the recovery one block at a time,
-    where ``ConcatenatedYDecoder.decode`` uses precomputed index arrays.
+    Reads the boundary bits, each block's relative bits and the triangle
+    parities off the syndrome with independent parity functionals, scores
+    every cut-shifted candidate in int64, and assembles the recovery one
+    block at a time.
     """
-    tools = decoders._concatenated_tools(code)
-    cycle, cuts = tools.table.cycle, tools.table.cuts.astype(np.uint8)
-    structure = y_code_structure(code.j, code.k, code)
-    u_boundary, u_rel, u_tri = (tools.conversion[part] for part in tools.parts)
-    assert not u_rel[0].any()
-    rel_bits = matmul_mod2(u_rel[1:], s)
+    cycle, blocks, boundary, u_boundary, u_rel, u_tri, cuts = _assembly_reference(code)
+    rel_bits = [matmul_mod2(u, s) for u in u_rel]
     base = solve(cycle.checks, matmul_mod2(u_tri, s))
-    block_members = [np.array(members) for _, members in structure.repetition_blocks]
-    rel_slices, pos = [], 0
-    for members in block_members:
-        rel_slices.append((pos, pos + len(members) - 1))
-        pos += len(members) - 1
-    edge_to_block = {edge: idx for idx, edge in structure.cycle_edge_map.items()}
-    block_of_edge = [edge_to_block[e] for e in cycle.edges]
-    block_lengths = np.array([len(block_members[b]) for b in block_of_edge], dtype=np.int64)
-    block_w = np.array([int(rel_bits[a:b].sum()) for a, b in rel_slices], dtype=np.int64)
-    w_edge = block_w[block_of_edge]
+    block_lengths = np.array([len(members) for members in blocks], dtype=np.int64)
+    w_edge = np.array([int(bits.sum()) for bits in rel_bits], dtype=np.int64)
     candidates = base[None, :] ^ cuts
     costs = candidates.astype(np.int64) @ (block_lengths - 2 * w_edge) + w_edge.sum()
     best = candidates[int(np.argmin(costs))]
     y = np.zeros(code.n, dtype=np.uint8)
-    y[tools.boundary] = matmul_mod2(u_boundary, s)
-    for edge_idx, block_idx in enumerate(block_of_edge):
-        a, b = rel_slices[block_idx]
-        bits = np.concatenate([[0], rel_bits[a:b]]).astype(np.uint8) ^ best[edge_idx]
-        y[block_members[block_idx]] = bits
+    y[boundary] = matmul_mod2(u_boundary, s)
+    for edge_idx, members in enumerate(blocks):
+        y[members] = rel_bits[edge_idx] ^ best[edge_idx]
     return y
 
 
 class TestConcatenated:
-    @pytest.mark.parametrize("j,k", [(4, 4), (6, 9), (9, 9), (3, 4)])
+    @pytest.mark.parametrize("j,k", [(4, 4), (6, 9), (9, 9), (3, 4), (10, 15), (13, 13)])
     def test_recovery_matches_the_assembly_loop(self, j, k):
         code = build_standard_code(j, k)
         decoder = ConcatenatedYDecoder(code)
@@ -512,7 +542,7 @@ class TestExactML:
         code = build_standard_code(size, size)
         table = ExactYDecoder(code, PURE_Y(0.1))._table
         assert table.cuts.shape == (2**size, size * (size + 1) // 2)
-        assert ConcatenatedYDecoder(code)._tools.table is table
+        assert ConcatenatedYDecoder(code)._table is table
 
     @pytest.mark.parametrize("j,k", [(3, 4), (4, 6), (6, 9), (9, 9), (12, 8), (13, 13)])
     def test_cut_table_scores_equal_the_group_oracle(self, j, k):
@@ -600,9 +630,14 @@ class TestBruteForce:
             total += sum(math.exp(v) for v in outcome.coset_scores.values())
         assert total == pytest.approx(1.0, rel=1e-9)
 
-    def test_large_code_rejected(self):
+    def test_large_code_rejected(self, monkeypatch):
+        # The refusal comes from n alone, before the stabilizer group is built.
+        def forbidden(*args):
+            raise AssertionError("stabilizer group built for an oversized code")
+
+        monkeypatch.setattr(decoders, "matmul_mod2", forbidden)
         code = build_rotated_code(5, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n <= 16"):
             BruteForceDecoder(code, BiasedNoiseModel(p=0.1, eta=0.5))
 
 
@@ -875,3 +910,23 @@ def test_shared_sweep_scores_match_four_independent_sweeps(distance, eta, p, see
             assert b == -np.inf or b < dominant - 10.0
         else:
             assert a == pytest.approx(b, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    j_k=st.sampled_from([(2, 2), (3, 4), (4, 4), (4, 6), (6, 9), (9, 9), (12, 8)]),
+    p=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_concatenated_recovery_weighs_the_least_over_every_cut(j_k, p, seed):
+    """Concatenated-y returns a lightest Y-configuration with the syndrome.
+
+    Its weight is the least of exact-y's I- and L-coset weights of the
+    canonical candidate, which together range over all 2^g cuts.
+    """
+    code = _code("standard", *j_k)
+    e = (np.random.default_rng(seed).random(code.n) < p).astype(np.uint8)
+    s = y_syndrome(code, e)
+    recovery = ConcatenatedYDecoder(code).decode(s).recovery.x_bits
+    weights = ExactYDecoder(code, PURE_Y(p))._coset_weights(code.y_solver.solve(s)[None])
+    assert int(recovery.sum()) == min(int(w.min()) for w in weights)
