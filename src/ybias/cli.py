@@ -3,14 +3,16 @@
 Every command validates its full configuration before doing any work or
 opening any output file, echoes that configuration into the output metadata,
 and writes byte-deterministic results.  Options may come from flags or from
-a JSON config file (flags win).  Exit codes: 0 success, 1 validation error,
-2 runtime error.
+a JSON config file: ``--config`` loads the file as click's default map, so a
+config value passes the same conversion and checks as its flag, and a flag
+wins.  Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -30,7 +32,6 @@ from .sim import (
     FailurePoint,
     convergence_study,
     csv_text,
-    default_workers,
     estimate_failure_rate,
     failure_row,
     fit_threshold,
@@ -53,12 +54,12 @@ def parse_eta(text: str | float) -> float:
         lowered = str(text).strip().lower()
         eta = math.inf if lowered in ("inf", "infinity") else _number(text, "--eta")
     if not (eta > 0.0):
-        raise ConfigError(f"eta must be positive or 'inf', got {text!r}")
+        raise ConfigError(f"--eta must be positive or 'inf', got {text!r}")
     return eta
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the option it came from.
+def _number(value, name: str, kind=float, least=None):
+    """``kind(value)``, at least ``least``, or a ConfigError naming the option it came from.
 
     An integer option refuses a non-integral float instead of truncating it,
     and no option takes a JSON boolean.
@@ -70,37 +71,37 @@ def _number(value, name: str, kind=float):
     if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return number
-
-
-def _at_least(value, name: str, least: int) -> int:
-    """An integer option of at least ``least``, or a ConfigError naming it."""
-    number = _number(value, name, int)
-    if number < least:
+    if least is not None and number < least:
         raise ConfigError(f"{name} must be >= {least}, got {number}")
     return number
 
 
-def _listed(values, name: str):
-    """A repeatable option's flag tuple or config list; anything else is a ConfigError."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    return values
+class _Number(click.ParamType):
+    """An integer or float option of at least ``least``, or eta (``kind=parse_eta``).
+
+    Flag strings and config values take this one path.  A refusal is a
+    ConfigError naming the option; click passes it through unchanged.
+    """
+
+    def __init__(self, kind=float, least=None):
+        self.kind, self.least = kind, least
+        self.name = {int: "integer", float: "float"}.get(kind, "eta")
+
+    def convert(self, value, param, ctx):
+        if self.kind is parse_eta:
+            return parse_eta(value)
+        return _number(value, param.opts[0], self.kind, self.least)
 
 
-def _numbers(values, name: str, kind=float) -> list:
-    return [_number(v, name, kind) for v in _listed(values, name)]
+def _read_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Make the JSON object in ``path`` the command's default map.
 
-
-def _load_config(path: str | None, keys: str) -> dict:
-    """The JSON object in ``path`` ({} without a path).
-
-    ``keys`` lists, space-separated, the config names the calling command
-    reads; any other key, misspelt or meant for another command, is a
-    ConfigError.
+    Each key must be the name of one of the command's options and hold a
+    value (null is refused); a repeatable option takes a list, and ``out``
+    a string (a number would be taken as a file descriptor).
     """
     if path is None:
-        return {}
+        return
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -108,36 +109,73 @@ def _load_config(path: str | None, keys: str) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(keys.split()))
+    params = {param.name: param for param in ctx.command.params if param.name != "config"}
+    unknown = sorted(set(data) - set(params))
     if unknown:
         raise ConfigError(
             f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"this command reads {keys}"
+            f"this command reads {' '.join(params)}"
         )
-    return data
+    for key, value in data.items():
+        param = params[key]
+        if value is None:
+            raise ConfigError(f"config file {path}: key {key!r} is null; set it or leave it out")
+        if param.multiple and not isinstance(value, list):
+            raise ConfigError(f"{param.opts[0]} must be a list, got {value!r}")
+        if isinstance(param.type, click.Path) and not isinstance(value, str):
+            raise ConfigError(f"{param.opts[0]} must be a path, got {value!r}")
+    ctx.default_map = data
 
 
-def _merge(flag_value, config: dict, key: str, default=None):
-    """Flags override config; unset means None (or the given default)."""
-    if flag_value is not None and flag_value != ():
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _workers_from_env() -> int:
+    """--workers when neither flag nor config sets it: YBIAS_WORKERS, else 1.
+
+    A callable default, not click's ``envvar=``, which would rank the
+    environment above the config file; ``--help`` never calls it.
+    """
+    value = os.environ.get("YBIAS_WORKERS", "").strip() or "1"
+    return _number(value, "YBIAS_WORKERS", int, least=1)
 
 
-def _require(value, name: str):
-    if value is None:
-        raise ConfigError(f"missing required option: {name}")
-    return value
+def _options(*decorators):
+    """Apply click option decorators in the order listed."""
+
+    def apply(fn):
+        for decorate in reversed(decorators):
+            fn = decorate(fn)
+        return fn
+
+    return apply
+
+
+_INT = _Number(int)
+_LAYOUTS = click.Choice(["standard", "rotated"])
+_CONFIG = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False),
+    is_eager=True, expose_value=False, callback=_read_config,
+)
+_SIZE = _options(
+    click.option("-j", type=_INT, required=True),
+    click.option("-k", type=_INT, required=True),
+)
+_CODE = _options(click.option("--layout", type=_LAYOUTS, required=True), _SIZE)
+_ETA = click.option("--eta", type=_Number(parse_eta), required=True)
+_DECODER = _options(
+    click.option("--decoder", type=click.Choice(_DECODER_NAMES), required=True),
+    click.option("--chi", type=_INT, default=8),
+)
+_P_SWEEP = click.option("--p", type=_Number(), multiple=True)
+_TRIALS = _Number(int, least=1)
+_OUT = click.option("--out", type=click.Path(writable=True, dir_okay=False))
+_RUNTIME = _options(
+    click.option("--seed", type=_Number(int, least=0), default=0),
+    click.option("--workers", type=_Number(int, least=1), default=_workers_from_env),
+    _OUT,
+)
 
 
 def _build_code(layout: str, j: int, k: int) -> StabilizerCode:
-    if layout == "standard":
-        return build_standard_code(j, k)
-    if layout == "rotated":
-        return build_rotated_code(j, k)
-    raise ConfigError(f"unknown layout {layout!r}")
+    return (build_standard_code if layout == "standard" else build_rotated_code)(j, k)
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -148,11 +186,8 @@ def _emit(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _base_metadata(command: str, seed=None, **echo) -> dict:
-    meta = {"tool": f"ybias {__version__}", "command": command, **echo}
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
+def _base_metadata(command: str, **echo) -> dict:
+    return {"tool": f"ybias {__version__}", "command": command, **echo}
 
 
 @click.group()
@@ -161,16 +196,9 @@ def cli() -> None:
 
 
 @cli.command("code-info")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--layout", type=click.Choice(["standard", "rotated"]))
-@click.option("-j", "j", type=int)
-@click.option("-k", "k", type=int)
-def code_info_cmd(config_path, layout, j, k) -> None:
+@_options(_CONFIG, _CODE)
+def code_info_cmd(layout, j, k) -> None:
     """Report code parameters, pure-noise distances, and operator counts."""
-    config = _load_config(config_path, "layout j k")
-    layout = _require(_merge(layout, config, "layout"), "--layout")
-    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
-    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
     try:
         code = _build_code(layout, j, k)
     except ValueError as exc:
@@ -198,82 +226,39 @@ def code_info_cmd(config_path, layout, j, k) -> None:
     click.echo("\n".join(lines))
 
 
-def _sweep_options(code_size: bool = True, decoder: bool = True):
-    """The options of a sweep command; -j/-k and --decoder/--chi only where it reads them."""
-
-    def apply(fn):
-        fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))(fn)
-        fn = click.option("--layout", type=click.Choice(["standard", "rotated"]))(fn)
-        if code_size:
-            fn = click.option("-j", "j", type=int)(fn)
-            fn = click.option("-k", "k", type=int)(fn)
-        fn = click.option("--eta", type=str)(fn)
-        if decoder:
-            fn = click.option("--decoder", "decoder_name", type=click.Choice(_DECODER_NAMES))(fn)
-            fn = click.option("--chi", type=int)(fn)
-        fn = click.option("--trials", type=int)(fn)
-        fn = click.option("--seed", type=int)(fn)
-        fn = click.option("--workers", type=int)(fn)
-        fn = click.option("--out", type=click.Path(writable=True, dir_okay=False))(fn)
-        return fn
-
-    return apply
-
-
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        try:
-            return default_workers()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return _at_least(workers, "--workers", 1)
-
-
 @cli.command("run")
-@_sweep_options()
-@click.option("--p", "ps", multiple=True, type=float)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]))
-def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, workers, out, ps, fmt) -> None:
+@_options(
+    _CONFIG, _CODE, _ETA, _DECODER, _P_SWEEP,
+    click.option("--format", type=click.Choice(["csv", "json"]), default="csv"),
+    click.option("--trials", type=_TRIALS), _RUNTIME,
+)
+def run_cmd(layout, j, k, eta, decoder, chi, p, format, trials, seed, workers, out) -> None:
     """Estimate failure rates over a sweep of physical error rates."""
-    config = _load_config(config_path, "layout j k eta decoder chi p format trials seed workers out")
-    layout = _require(_merge(layout, config, "layout"), "--layout")
-    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
-    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
-    eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
-    decoder_name = _require(_merge(decoder_name, config, "decoder"), "--decoder")
-    chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
-    ps = _numbers(_merge(ps, config, "p", []), "--p")
-    fmt = _merge(fmt, config, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"--format must be 'csv' or 'json', got {fmt!r}")
-    if ps:
-        trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
-    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
-    workers = _resolve_workers(_merge(workers, config, "workers"))
-    out = _merge(out, config, "out")
+    if p and trials is None:
+        raise ConfigError("missing required option: --trials (a --p sweep needs it)")
     try:
         code = _build_code(layout, j, k)
-        models = [BiasedNoiseModel(p, eta) for p in ps]
-        decoders = [decoder_from_name(decoder_name, code, m, chi=chi) for m in models]
+        models = [BiasedNoiseModel(rate, eta) for rate in p]
+        decoders = [decoder_from_name(decoder, code, m, chi=chi) for m in models]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rows = []
-    for model, decoder in zip(models, decoders):
-        result = estimate_failure_rate(code, decoder, model, trials, seed, workers=workers)
-        rows.append(failure_row(code, model, decoder, result, seed))
+    for model, dec in zip(models, decoders):
+        result = estimate_failure_rate(code, dec, model, trials, seed, workers=workers)
+        rows.append(failure_row(code, model, dec, result, seed))
     metadata = _base_metadata(
         "run",
-        seed=seed,
         layout=layout,
         j=j,
         k=k,
         eta=eta,
-        decoder=decoder_name,
-        chi=chi if decoder_name == "mps" else None,
-        trials=trials if ps else None,
-        p_values=";".join(format_number(p) for p in ps),
+        decoder=decoder,
+        chi=chi if decoder == "mps" else None,
+        trials=trials if p else None,
+        p_values=";".join(format_number(rate) for rate in p),
+        seed=seed,
     )
-    if fmt == "csv":
+    if format == "csv":
         _emit(out, csv_text(rows, metadata))
     else:
         meta_json = {key: format_number(value) for key, value in metadata.items()}
@@ -281,48 +266,41 @@ def run_cmd(config_path, layout, j, k, eta, decoder_name, chi, trials, seed, wor
 
 
 @cli.command("threshold")
-@_sweep_options(code_size=False)
-@click.option("--p", "ps", multiple=True, type=float)
-@click.option("-d", "distances", multiple=True, type=int)
-@click.option("--pc-init", type=float)
-@click.option("--nu-init", type=float)
+@_options(
+    _CONFIG,
+    click.option("--layout", type=_LAYOUTS, default="rotated"),
+    _ETA, _DECODER, _P_SWEEP,
+    click.option("-d", "distances", type=_INT, multiple=True),
+    click.option("--trials", type=_TRIALS, required=True), _RUNTIME,
+    click.option("--pc-init", type=_Number()),
+    click.option("--nu-init", type=_Number(), default=1.0),
+)
 def threshold_cmd(
-    config_path, layout, eta, decoder_name, chi, trials, seed, workers, out,
-    ps, distances, pc_init, nu_init,
+    layout, eta, decoder, chi, p, distances, trials, seed, workers, out, pc_init, nu_init
 ) -> None:
     """Sweep several code distances and fit the threshold crossing."""
-    config = _load_config(
-        config_path, "layout eta decoder chi p distances trials seed workers out pc_init nu_init"
-    )
-    layout = _merge(layout, config, "layout", "rotated")
-    eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
-    decoder_name = _require(_merge(decoder_name, config, "decoder"), "--decoder")
-    chi = _number(_merge(chi, config, "chi", 8), "--chi", int)
-    ps = _numbers(_merge(ps, config, "p", []), "--p")
-    distances = _numbers(_merge(distances, config, "distances", []), "-d", int)
-    trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
-    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
-    workers = _resolve_workers(_merge(workers, config, "workers"))
-    out = _merge(out, config, "out")
-    pc_init = _merge(pc_init, config, "pc_init")
-    pc_init = None if pc_init is None else _number(pc_init, "--pc-init")
-    nu_init = _number(_merge(nu_init, config, "nu_init", 1.0), "--nu-init")
     for name, value, (lo, hi) in (
         ("--pc-init", pc_init, _PC_BOUNDS), ("--nu-init", nu_init, _NU_BOUNDS)
     ):
         if value is not None and not lo <= value <= hi:  # also refuses nan
             raise ConfigError(f"{name} must lie within the fit's bounds [{lo}, {hi}], got {value}")
     if len(set(distances)) < 3:
-        raise ConfigError(f"need >= 3 distinct distances, got {distances}")
-    if len(set(ps)) < 3:
-        raise ConfigError(f"need >= 3 distinct p-values, got {ps}")
+        raise ConfigError(f"need >= 3 distinct distances, got {list(distances)}")
+    if len(set(p)) < 3:
+        raise ConfigError(f"need >= 3 distinct p-values, got {list(p)}")
+    # Every distance gets every p, so the fit's bracket is known here.
+    if pc_init is not None and not min(p) <= pc_init <= max(p):
+        raise ConfigError(
+            f"--pc-init {pc_init} lies outside the --p range [{min(p)}, {max(p)}], "
+            "so the p-values do not bracket it"
+        )
     try:
         codes = {d: _build_code(layout, d, d) for d in distances}
-        models = {p: BiasedNoiseModel(p, eta) for p in ps}
+        models = {rate: BiasedNoiseModel(rate, eta) for rate in p}
         decs = {
-            (d, p): decoder_from_name(decoder_name, codes[d], models[p], chi=chi)
+            (d, rate): decoder_from_name(decoder, codes[d], models[rate], chi=chi)
             for d in distances
-            for p in ps
+            for rate in p
         }
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -330,22 +308,22 @@ def threshold_cmd(
     rows = []
     points = []
     for d in distances:
-        for p in ps:
+        for rate in p:
             result = estimate_failure_rate(
-                codes[d], decs[(d, p)], models[p], trials, seed, workers=workers
+                codes[d], decs[(d, rate)], models[rate], trials, seed, workers=workers
             )
-            rows.append(failure_row(codes[d], models[p], decs[(d, p)], result, seed))
-            points.append(FailurePoint(d, p, result.rate, result.stderr, result.trials))
+            rows.append(failure_row(codes[d], models[rate], decs[(d, rate)], result, seed))
+            points.append(FailurePoint(d, rate, result.rate, result.stderr, result.trials))
     metadata = _base_metadata(
         "threshold",
-        seed=seed,
         layout=layout,
         eta=eta,
-        decoder=decoder_name,
-        chi=chi if decoder_name == "mps" else None,
+        decoder=decoder,
+        chi=chi if decoder == "mps" else None,
         trials=trials,
         distances=";".join(str(d) for d in distances),
-        p_values=";".join(format_number(p) for p in ps),
+        p_values=";".join(format_number(rate) for rate in p),
+        seed=seed,
     )
     meta_json = {key: format_number(value) for key, value in metadata.items()}
     payload: dict = {"metadata": meta_json, "rows": rows}
@@ -354,48 +332,39 @@ def threshold_cmd(
     except (ValueError, RuntimeError) as exc:
         payload["fit_error"] = str(exc)
         _emit(out, json_text(payload))
-        raise _RuntimeFailure(f"threshold fit failed: {exc}") from None
+        raise RuntimeError(f"threshold fit failed: {exc}") from None
     payload["fit"] = fit.to_json()
     _emit(out, json_text(payload))
 
 
 @cli.command("hashing-bound")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eta", "etas", multiple=True, type=str)
-@click.option("--out", type=click.Path(writable=True, dir_okay=False))
-def hashing_bound_cmd(config_path, etas, out) -> None:
+@_options(
+    _CONFIG,
+    click.option("--eta", type=_Number(parse_eta), multiple=True),
+    _OUT,
+)
+def hashing_bound_cmd(eta, out) -> None:
     """Tabulate the hashing-bound threshold for each bias value."""
-    config = _load_config(config_path, "eta out")
-    etas = [parse_eta(e) for e in _listed(_merge(etas, config, "eta", []), "--eta")]
-    out = _merge(out, config, "out")
-    rows = [{"eta": eta, "p_c": hashing_bound(eta)} for eta in etas]
+    rows = [{"eta": value, "p_c": hashing_bound(value)} for value in eta]
     metadata = _base_metadata(
-        "hashing-bound", eta_values=";".join(format_number(e) for e in etas)
+        "hashing-bound", eta_values=";".join(format_number(value) for value in eta)
     )
     _emit(out, csv_text(rows, metadata, columns=("eta", "p_c")))
 
 
 @cli.command("convergence")
-@_sweep_options(decoder=False)
-@click.option("--p", "p", type=float)
-@click.option("--chis", "chis", multiple=True, type=int)
-def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, p, chis) -> None:
+@_options(
+    _CONFIG,
+    click.option("--layout", type=click.Choice(["rotated"]), default="rotated"),
+    _SIZE, _ETA,
+    click.option("--p", type=_Number(), required=True),
+    click.option("--chis", type=_Number(int, least=1), multiple=True),
+    click.option("--trials", type=_TRIALS, required=True), _RUNTIME,
+)
+def convergence_cmd(layout, j, k, eta, p, chis, trials, seed, workers, out) -> None:
     """Compare MPS failure rates across bond dimensions on identical errors."""
-    config = _load_config(config_path, "layout j k eta p chis trials seed workers out")
-    layout = _merge(layout, config, "layout", "rotated")
-    if layout != "rotated":
-        raise ConfigError("convergence studies run on rotated-layout codes")
-    j = _number(_require(_merge(j, config, "j"), "-j"), "-j", int)
-    k = _number(_require(_merge(k, config, "k"), "-k"), "-k", int)
-    eta = parse_eta(_require(_merge(eta, config, "eta"), "--eta"))
-    p = _number(_require(_merge(p, config, "p"), "--p"), "--p")
-    chis = [_at_least(c, "--chis", 1) for c in _listed(_merge(chis, config, "chis", []), "--chis")]
-    trials = _at_least(_require(_merge(trials, config, "trials"), "--trials"), "--trials", 1)
-    seed = _at_least(_merge(seed, config, "seed", 0), "--seed", 0)
-    workers = _resolve_workers(_merge(workers, config, "workers"))
-    out = _merge(out, config, "out")
     if len(set(chis)) < 2:
-        raise ConfigError(f"need >= 2 distinct chi values, got {chis}")
+        raise ConfigError(f"need >= 2 distinct chi values, got {list(chis)}")
     try:
         code = _build_code(layout, j, k)
         model = BiasedNoiseModel(p, eta)
@@ -414,7 +383,6 @@ def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, 
     ]
     metadata = _base_metadata(
         "convergence",
-        seed=seed,
         layout=layout,
         j=j,
         k=k,
@@ -423,12 +391,9 @@ def convergence_cmd(config_path, layout, j, k, eta, trials, seed, workers, out, 
         trials=trials,
         reference_chi=study.reference_chi,
         chi_values=";".join(str(c) for c in chis),
+        seed=seed,
     )
     _emit(out, csv_text(rows, metadata, columns=("chi", "rate", "stderr", "shifted", "converged")))
-
-
-class _RuntimeFailure(RuntimeError):
-    """Wrapped runtime error that should exit with code 2."""
 
 
 def main(argv=None) -> int:
@@ -443,9 +408,6 @@ def main(argv=None) -> int:
         return int(exc.exit_code)
     except click.Abort:
         return 1
-    except _RuntimeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -482,10 +481,3 @@ def _json_safe(value):
 def json_text(payload: Mapping) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
 
-
-def default_workers() -> int:
-    """Worker count from YBIAS_WORKERS (1 when unset); ValueError unless an integer >= 1."""
-    value = os.environ.get("YBIAS_WORKERS", "").strip() or "1"
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"YBIAS_WORKERS must be an integer >= 1, got {value!r}")
-    return int(value)

@@ -279,18 +279,24 @@ class TestHashingBound:
 
 
 class TestThreshold:
-    def test_fit_failure_exits_two_and_reports_in_json(self, capsys, tmp_path):
+    def test_fit_failure_exits_two_and_reports_in_json(self, capsys, tmp_path, monkeypatch):
+        from ybias import cli
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("threshold fit did not converge: patched")
+
+        monkeypatch.setattr(cli, "fit_threshold", fail)
         target = tmp_path / "fit.json"
         rc, _, err = run_cli(
             capsys, "threshold", "--eta", "inf", "--decoder", "exact-y",
             "-d", "3", "-d", "5", "-d", "7",
             "--p", "0.1", "--p", "0.12", "--p", "0.14",
-            "--trials", "30", "--seed", "2", "--pc-init", "0.5", "--out", str(target),
+            "--trials", "30", "--seed", "2", "--pc-init", "0.12", "--out", str(target),
         )
         assert rc == 2
         assert "threshold fit failed" in err
         payload = json.loads(target.read_text(encoding="utf-8"))
-        assert "bracket" in payload["fit_error"]
+        assert "did not converge" in payload["fit_error"]
         assert "fit" not in payload
         assert len(payload["rows"]) == 9
         assert payload["metadata"]["command"] == "threshold"
@@ -405,43 +411,138 @@ class TestConvergence:
         assert not decoded
 
 
+# One valid invocation of each command; the usage-error cases below vary it.
+VALID = {
+    "code-info": ("--layout", "rotated", "-j", "3", "-k", "3"),
+    "hashing-bound": ("--eta", "0.5"),
+    "run": ("--layout", "rotated", "-j", "3", "-k", "3", "--eta", "inf",
+            "--decoder", "exact-y", "--p", "0.1", "--trials", "10"),
+    "threshold": ("--eta", "inf", "--decoder", "exact-y", "-d", "3", "-d", "5", "-d", "7",
+                  "--p", "0.1", "--p", "0.12", "--p", "0.14", "--trials", "10"),
+    "convergence": ("-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+                    "--chis", "2", "--chis", "4", "--trials", "10"),
+}
+
+
+def _args(command, *extra, drop=()):
+    """``command``'s valid flags without those named in ``drop``, then ``extra``."""
+    pairs = zip(VALID[command][::2], VALID[command][1::2])
+    kept = [item for flag, value in pairs if flag not in drop for item in (flag, value)]
+    return (*kept, *extra)
+
+
+def _case(command, *extra, drop=(), config=None, message, id):
+    return pytest.param(command, _args(command, *extra, drop=drop), config, message, id=id)
+
+
+USAGE_ERRORS = [
+    # A value of the wrong type, a boolean, or a non-integral float.
+    _case("code-info", "-j", "x", message="-j must be an integer, got 'x'", id="type-code-info"),
+    _case("hashing-bound", "--eta", "soup", message="--eta must be a number, got 'soup'",
+          id="type-hashing-bound"),
+    _case("run", "--chi", "many", message="--chi must be an integer, got 'many'", id="type-run"),
+    _case("threshold", "-d", "3.5", message="-d must be an integer, got '3.5'",
+          id="type-threshold"),
+    _case("convergence", "--p", "high", message="--p must be a number, got 'high'",
+          id="type-convergence"),
+    _case("code-info", drop="-j", config={"j": True}, message="-j must be an integer, got True",
+          id="boolean-code-info"),
+    _case("hashing-bound", drop="--eta", config={"eta": [0.5, True]},
+          message="--eta must be a number, got True", id="boolean-hashing-bound"),
+    _case("run", config={"chi": True}, message="--chi must be an integer, got True",
+          id="boolean-run"),
+    _case("threshold", config={"nu_init": False}, message="--nu-init must be a number, got False",
+          id="boolean-threshold"),
+    _case("convergence", drop="--chis", config={"chis": [2, True]},
+          message="--chis must be an integer, got True", id="boolean-convergence"),
+    _case("code-info", drop="-k", config={"k": 3.5}, message="-k must be an integer, got 3.5",
+          id="fraction-code-info"),
+    _case("run", config={"workers": 1.5}, message="--workers must be an integer, got 1.5",
+          id="fraction-run"),
+    _case("threshold", drop="-d", config={"distances": [3, 5, 7.5]},
+          message="-d must be an integer, got 7.5", id="fraction-threshold"),
+    _case("convergence", config={"seed": 1.5}, message="--seed must be an integer, got 1.5",
+          id="fraction-convergence"),
+    # A value below its bound.
+    _case("hashing-bound", "--eta", "0", message="--eta must be positive or 'inf', got '0'",
+          id="bound-hashing-bound"),
+    _case("run", "--workers", "0", message="--workers must be >= 1, got 0", id="bound-run"),
+    _case("threshold", "--trials", "0", message="--trials must be >= 1, got 0",
+          id="bound-threshold"),
+    _case("convergence", "--chis", "0", message="--chis must be >= 1, got 0",
+          id="bound-convergence"),
+    *[
+        _case(command, *(("--seed", "-1") if source == "flag" else ()),
+              config={"seed": -1} if source == "config" else None,
+              message="--seed must be >= 0, got -1", id=f"seed-negative-{source}-{command}")
+        for source in ("flag", "config")
+        for command in ("convergence", "run", "threshold")
+    ],
+    # A missing required option.
+    _case("code-info", drop="--layout", message="Missing option '--layout'",
+          id="missing-code-info"),
+    _case("run", drop="--decoder", message="Missing option '--decoder'", id="missing-run"),
+    # A large code, so that a late check would be slow to reach.
+    pytest.param("run", ("--layout", "standard", "-j", "17", "-k", "17", "--eta", "inf",
+                         "--decoder", "concatenated-y", "--p", "0.1"), None, "--trials",
+                 id="missing-trials-run"),
+    _case("threshold", drop="--eta", message="Missing option '--eta'", id="missing-threshold"),
+    _case("convergence", drop="--p", message="Missing option '--p'", id="missing-convergence"),
+    # A config key the command does not read, or one that holds null.
+    _case("code-info", config={"eta": 1}, message="unknown key(s) 'eta'",
+          id="unknown-key-code-info"),
+    _case("hashing-bound", config={"p": [0.1]}, message="unknown key(s) 'p'",
+          id="unknown-key-hashing-bound"),
+    _case("run", config={"seed": 2, "sede": 5}, message="unknown key(s) 'sede'",
+          id="unknown-key-misspelt-run"),
+    _case("threshold", config={"seed": 2, "j": 5}, message="unknown key(s) 'j'",
+          id="unknown-key-j-to-threshold"),
+    _case("convergence", config={"seed": 2, "decoder": 5}, message="unknown key(s) 'decoder'",
+          id="unknown-key-decoder-to-convergence"),
+    _case("threshold", config={"layout": None}, message="key 'layout' is null",
+          id="null-threshold"),
+    _case("run", config={"seed": None}, message="key 'seed' is null", id="null-run"),
+    # A scalar where a list is expected, and a number where a path is expected.
+    _case("hashing-bound", drop="--eta", config={"eta": 0.5},
+          message="--eta must be a list, got 0.5", id="scalar-hashing-bound"),
+    _case("run", drop="--p", config={"p": 0.1}, message="--p must be a list, got 0.1",
+          id="scalar-run"),
+    _case("threshold", drop="-d", config={"distances": 5}, message="-d must be a list, got 5",
+          id="scalar-threshold"),
+    _case("convergence", drop="--chis", config={"chis": "2 4"},
+          message="--chis must be a list, got '2 4'", id="scalar-convergence"),
+    _case("run", config={"out": 1}, message="--out must be a path, got 1", id="path-run"),
+    # A value outside its choices.
+    _case("run", "--decoder", "magic", message="'--decoder'", id="choice-run"),
+    _case("run", config={"format": "xml"}, message="'--format'", id="choice-format-key-run"),
+    _case("convergence", "--layout", "standard", message="'--layout'",
+          id="choice-layout-convergence"),
+    # A grid that repeats a value, a fit guess outside its bounds or its bracket.
+    _case("threshold", "-d", "3", "-d", "3", "-d", "5", drop="-d",
+          message="need >= 3 distinct distances, got [3, 3, 5]", id="repeat-threshold"),
+    _case("convergence", "--chis", "4", "--chis", "4", drop="--chis",
+          message="need >= 2 distinct chi values, got [4, 4]", id="repeat-convergence"),
+    _case("threshold", "--nu-init", "0.1", message="--nu-init must lie within the fit's bounds",
+          id="fit-bounds-threshold"),
+    _case("threshold", "--pc-init", "0.5", message="--pc-init 0.5 lies outside the --p range",
+          id="fit-bracket-threshold"),
+]
+
+
 class TestUsageErrors:
-    SWEEPS = {
-        "run": ("--layout", "rotated", "-j", "3", "-k", "3", "--eta", "inf",
-                "--decoder", "exact-y", "--p", "0.1", "--trials", "10"),
-        "threshold": ("--eta", "inf", "--decoder", "exact-y", "-d", "3", "-d", "5", "-d", "7",
-                      "--p", "0.1", "--p", "0.12", "--p", "0.14", "--trials", "10"),
-        "convergence": ("-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
-                        "--chis", "2", "--chis", "4", "--trials", "10"),
-    }
-
-    @pytest.mark.parametrize(
-        "command,key",
-        [("run", "sede"), ("threshold", "j"), ("convergence", "decoder")],
-        ids=["misspelt", "j-to-threshold", "decoder-to-convergence"],
-    )
-    def test_unknown_config_key_exits_one_before_decoding(
-        self, capsys, decoded, tmp_path, command, key
+    @pytest.mark.parametrize("command, args, config, message", USAGE_ERRORS)
+    def test_exits_one_before_any_build(
+        self, capsys, built, tmp_path, command, args, config, message
     ):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"seed": 2, key: 5}), encoding="utf-8")
-        rc, out, err = run_cli(capsys, command, *self.SWEEPS[command], "--config", str(cfg))
+        # Every option of every command is checked before any code is built.
+        if config is not None:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            args = (*args, "--config", str(cfg))
+        rc, out, err = run_cli(capsys, command, *args)
         assert rc == 1 and out == ""
-        assert err.startswith("error:") and repr(key) in err
-        assert not decoded
-
-    @pytest.mark.parametrize("command", sorted(SWEEPS))
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_seed_exits_one_before_decoding(
-        self, capsys, decoded, tmp_path, command, source
-    ):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
-        seed = ("--seed", "-1") if source == "flag" else ("--config", str(cfg))
-        rc, out, err = run_cli(capsys, command, *self.SWEEPS[command], *seed)
-        assert rc == 1 and out == ""
-        assert err.startswith("error: --seed")
-        assert not decoded
+        assert err.startswith("error:") and message in err
+        assert not built
 
     def test_oversized_exact_y_group_exits_one_before_decoding(self, capsys, decoded):
         rc, out, err = run_cli(
@@ -461,29 +562,6 @@ class TestUsageErrors:
         assert err.startswith("error:") and "n <= 16" in err
         assert not decoded
 
-    @pytest.mark.parametrize(
-        "config, args, option",
-        [
-            # A large code, so that a late check would be slow to reach.
-            (None, ("--layout", "standard", "-j", "17", "-k", "17", "--eta", "inf",
-                    "--decoder", "concatenated-y", "--p", "0.1"), "--trials"),
-            ({"layout": "rotated", "j": 3, "k": 3, "eta": "inf", "decoder": "exact-y",
-              "p": [0.1], "trials": 5, "format": "xml"}, (), "--format"),
-        ],
-        ids=["missing-trials", "format-key"],
-    )
-    def test_run_usage_error_exits_one_before_any_code_is_built(
-        self, capsys, built, tmp_path, config, args, option
-    ):
-        if config is not None:
-            cfg = tmp_path / "config.json"
-            cfg.write_text(json.dumps(config), encoding="utf-8")
-            args = (*args, "--config", str(cfg))
-        rc, out, err = run_cli(capsys, "run", *args)
-        assert rc == 1 and out == ""
-        assert err.startswith("error:") and option in err
-        assert not built
-
     def test_unknown_command_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "does-not-exist")
         assert rc == 1 and err.startswith("error:")
@@ -498,3 +576,118 @@ class TestUsageErrors:
     def test_missing_config_file_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "run", "--config", "/nonexistent/path.json")
         assert rc == 1 and err.startswith("error:")
+
+
+class TestConfig:
+    KEYS = {
+        "code-info": "layout j k",
+        "hashing-bound": "eta out",
+        "run": "layout j k eta decoder chi p format trials seed workers out",
+        "threshold": "layout eta decoder chi p distances trials seed workers out pc_init nu_init",
+        "convergence": "layout j k eta p chis trials seed workers out",
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_each_command_reads_its_config_keys(self, command):
+        from ybias.cli import cli
+
+        params = {param.name for param in cli.commands[command].params}
+        assert params - {"config"} == set(self.KEYS[command].split())
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, keys in sorted(KEYS.items()) for key in keys.split()],
+    )
+    def test_null_config_value_exits_one_naming_the_key(
+        self, capsys, built, tmp_path, command, key
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: None}), encoding="utf-8")
+        rc, out, err = run_cli(capsys, command, *VALID[command], "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and f"key {key!r} is null" in err
+        assert not built
+
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            ("code-info", ("--layout", "standard", "-j", "4", "-k", "4"),
+             {"layout": "standard", "j": 4, "k": 4}),
+            ("hashing-bound", ("--eta", "0.5", "--eta", "inf", "--out", "-"),
+             {"eta": [0.5, "inf"], "out": "-"}),
+            *[
+                ("run",
+                 ("--layout", "rotated", "-j", "3", "-k", "3", "--eta", "0.5",
+                  "--decoder", "mps", "--chi", "4", "--p", "0.1", "--p", "0.2",
+                  "--format", fmt, "--trials", "20", "--seed", "3", "--workers", "1",
+                  "--out", "-"),
+                 {"layout": "rotated", "j": 3, "k": 3, "eta": 0.5, "decoder": "mps", "chi": 4,
+                  "p": [0.1, 0.2], "format": fmt, "trials": 20, "seed": 3, "workers": 1,
+                  "out": "-"})
+                for fmt in ("csv", "json")
+            ],
+            ("threshold",
+             ("--layout", "rotated", "--eta", "inf", "--decoder", "exact-y", "--chi", "8",
+              "--p", "0.4", "--p", "0.5", "--p", "0.6", "-d", "3", "-d", "5", "-d", "7",
+              "--trials", "20", "--seed", "2", "--workers", "1", "--out", "-",
+              "--pc-init", "0.5", "--nu-init", "1.5"),
+             {"layout": "rotated", "eta": "inf", "decoder": "exact-y", "chi": 8,
+              "p": [0.4, 0.5, 0.6], "distances": [3, 5, 7], "trials": 20, "seed": 2,
+              "workers": 1, "out": "-", "pc_init": 0.5, "nu_init": 1.5}),
+            ("convergence",
+             ("--layout", "rotated", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+              "--chis", "2", "--chis", "4", "--trials", "20", "--seed", "3", "--workers", "1",
+              "--out", "-"),
+             {"layout": "rotated", "j": 3, "k": 3, "eta": 0.5, "p": 0.15, "chis": [2, 4],
+              "trials": 20, "seed": 3, "workers": 1, "out": "-"}),
+        ],
+        ids=["code-info", "hashing-bound", "run-csv", "run-json", "threshold", "convergence"],
+    )
+    def test_flags_and_config_give_the_same_bytes(self, capsys, tmp_path, command, flags, config):
+        assert set(config) == set(self.KEYS[command].split())  # every option, both ways
+        rc, from_flags, _ = run_cli(capsys, command, *flags)
+        assert rc == 0 and from_flags
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        rc, from_config, _ = run_cli(capsys, command, "--config", str(cfg))
+        assert rc == 0
+        assert from_config == from_flags
+
+    @pytest.mark.parametrize(
+        "flag, config, env, expected",
+        [("2", 3, "4", 2), (None, 3, "4", 3), (None, None, "4", 4), (None, None, None, 1)],
+        ids=["flag", "config", "environment", "default"],
+    )
+    def test_workers_come_from_flag_then_config_then_environment(
+        self, capsys, monkeypatch, tmp_path, flag, config, env, expected
+    ):
+        from ybias import cli
+
+        seen = []
+        estimate = cli.estimate_failure_rate
+
+        def record(*args, workers):
+            seen.append(workers)
+            return estimate(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "estimate_failure_rate", record)
+        if env is None:
+            monkeypatch.delenv("YBIAS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("YBIAS_WORKERS", env)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({} if config is None else {"workers": config}), encoding="utf-8")
+        extra = () if flag is None else ("--workers", flag)
+        rc, _, _ = run_cli(capsys, "run", *VALID["run"], "--config", str(cfg), *extra)
+        assert rc == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("command", [(), *[(name,) for name in sorted(KEYS)]],
+                             ids=["group", *sorted(KEYS)])
+    def test_help_exits_zero_without_reading_the_workers_default(
+        self, capsys, monkeypatch, command
+    ):
+        monkeypatch.setenv("YBIAS_WORKERS", "abc")
+        rc, out, err = run_cli(capsys, *command, "--help")
+        assert rc == 0 and err == ""
+        assert out.startswith("Usage: ybias")

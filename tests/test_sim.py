@@ -30,7 +30,6 @@ from ybias.sim import (
     _floored_stderr,
     convergence_study,
     csv_text,
-    default_workers,
     estimate_failure_rate,
     failure_row,
     fit_threshold,
@@ -442,15 +441,3 @@ class TestResultFiles:
             "stderr",
             "seed",
         )
-
-
-class TestDefaultWorkers:
-    def test_environment_controls_the_default(self, monkeypatch):
-        monkeypatch.delenv("YBIAS_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("YBIAS_WORKERS", "3")
-        assert default_workers() == 3
-        for bad in ("0", "-5", "many"):
-            monkeypatch.setenv("YBIAS_WORKERS", bad)
-            with pytest.raises(ValueError):
-                default_workers()
