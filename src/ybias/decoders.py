@@ -151,7 +151,9 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     top = a == a_max
     m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        rest = np.where(top, -np.inf, a)
+        rest -= a_max
+        s = np.exp(rest, out=rest).sum(axis=axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
     return np.squeeze(np.where(np.isfinite(a_max), out, a_max), axis=axis)[()]
 
@@ -163,13 +165,29 @@ def _pure_y_log_score(weights: np.ndarray, n: int, p: float) -> np.ndarray:
         return np.where((weights == 0).any(axis=-1), 0.0, -np.inf)
     if p >= 1.0:
         return np.where((weights == n).any(axis=-1), 0.0, -np.inf)
-    return _logsumexp(weights * math.log(p) + (n - weights) * math.log1p(-p), axis=-1)
+    # (n - w) log(1-p) + w log(p), built in place in one fresh block; a float
+    # sum does not depend on the order of its terms, so this is bit for bit
+    # w log(p) + (n - w) log(1-p).
+    log_weights = n - weights
+    log_weights *= math.log1p(-p)
+    log_weights += weights * math.log(p)
+    return _logsumexp(log_weights, axis=-1)
 
 
 # Bound on the bytes of a cut table's float32 cuts, 4 * 2^g * E for the
 # E = g(g+1)/2 edges of K_{g+1}: standard 17x17 (about 80 MB) fits, 18x18
 # does not.
 _CUT_TABLE_MAX_BYTES = 2**27
+
+# Candidates are scored in chunks of rows whose float64 coset weights fill
+# about _SCORE_CHUNK_BYTES, so the scoring temporaries stay near the CPU
+# cache.  Each chunk's product reads the whole cut table once (16 MB at
+# standard 15x15, where the byte budget alone would give 8 rows and run 1.5
+# times slower), so a chunk has at least _SCORE_MIN_ROWS rows while their
+# weights fit in _SCORE_MAX_BYTES: 32 rows at standard 15x15, 8 at 17x17.
+_SCORE_CHUNK_BYTES = 2 * 1024 * 1024
+_SCORE_MAX_BYTES = 8 * 1024 * 1024
+_SCORE_MIN_ROWS = 32
 
 
 class _CutTable:
@@ -188,7 +206,9 @@ class _CutTable:
     is ``cycle_code(g + 1).edges`` order, and each block's first member is
     its reference.  Every array is read-only; ``cuts`` is a float32
     (2^g, E) 0/1 matrix, so its products with small integer vectors are
-    exact.
+    exact.  It is stored column by column (Fortran order), the layout in
+    which BLAS reads it fastest both as ``cuts @ v`` and as a block's
+    ``gains @ cuts.T``.
     """
 
     def __init__(self, code: StabilizerCode):
@@ -203,7 +223,7 @@ class _CutTable:
         self.block_lengths = _read_only(lengths, np.float32)
         index = np.arange(2**g)[:, None]
         side = np.hstack([np.zeros_like(index), (index >> np.arange(g)) & 1])
-        cuts = np.empty((2**g, len(blocks)), dtype=np.float32)
+        cuts = np.empty((2**g, len(blocks)), dtype=np.float32, order="F")
         for e, (a, b) in enumerate(self.cycle.edges):
             cuts[:, e] = side[:, a - 1] ^ side[:, b - 1]
         cuts.setflags(write=False)
@@ -260,13 +280,20 @@ class ExactYDecoder:
         self.model = model
         self.params: dict = {}
         self._table = None if code.layout == "rotated" else _cut_table(code)
+        logical = code.logical_y.x_bits
+        self._logical_weight = int(logical.sum())
+        # Rotated layout: with columns [1, L], one exact float32 product gives
+        # |c| and |c & L| per candidate row c.
+        columns = np.stack([np.ones_like(logical), logical], axis=1)
+        self._weight_columns = _read_only(columns, np.float32)
 
     def _coset_weights(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights of every member of the I and of the L coset, per candidate row."""
         table = self._table
         if table is None:
-            logical = self.code.logical_y.x_bits
-            return cands.sum(axis=1)[:, None], (cands ^ logical).sum(axis=1)[:, None]
+            # |c ^ L| = |c| + |L| - 2 |c & L|, so no copy of the block is XORed.
+            weight, overlap = (cands @ self._weight_columns).T
+            return weight[:, None], (weight + self._logical_weight - 2 * overlap)[:, None]
         gains = table.flip_gains(cands[:, table.member_qubit])
         weights = cands.sum(axis=1)[:, None] + gains @ table.cuts.T
         return np.hsplit(weights, 2)
@@ -283,14 +310,17 @@ class ExactYDecoder:
         if not attainable.all():
             raise UnattainableSyndromeError(f"{code.id}: syndrome not attainable by a Y-type error")
         scores = np.empty((2, len(cands)))
-        chunk = max(1, 2**20 // (2 if self._table is None else len(self._table.cuts)))
+        row_bytes = 8 * (2 if self._table is None else len(self._table.cuts))
+        floor = min(_SCORE_MIN_ROWS, _SCORE_MAX_BYTES // row_bytes)
+        chunk = max(1, floor, _SCORE_CHUNK_BYTES // row_bytes)
         for lo in range(0, len(cands), chunk):
             for score, weights in zip(scores, self._coset_weights(cands[lo : lo + chunk])):
                 score[lo : lo + chunk] = _pure_y_log_score(weights, code.n, self.model.p)
         score_i, score_l = scores
         take_l = score_l > score_i + _TIE_TOLERANCE
-        recovery = np.where(take_l[:, None], cands ^ code.logical_y.x_bits, cands)
-        return recovery, np.where(take_l, "L", "I"), (score_i, score_l)
+        # The candidates are a fresh block: flip the L rows in place.
+        np.bitwise_xor(cands, code.logical_y.x_bits, out=cands, where=take_l[:, None])
+        return cands, np.where(take_l, "L", "I"), (score_i, score_l)
 
     def decode_batch(self, syndromes: np.ndarray):
         """Decode a (trials, checks) syndrome block; returns (recovery_x, recovery_z, verdicts).

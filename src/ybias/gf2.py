@@ -35,6 +35,8 @@ _WORD = 64
 # float32 holds every integer below 2^24 exactly, so a 0/1 product whose
 # inner dimension stays below this bound has exact partial sums.
 _EXACT_INNER = 1 << 24
+# Byte tables whose entries Gf2Solver.solve_batch gathers per accumulation step.
+_TABLE_GROUP = 8
 
 
 def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,16 +231,21 @@ class Gf2Solver:
         row is consistent), and the bool vector marks the consistent rows.
         Both come from one pass over the byte tables (built on the first
         call): each byte of a packed row picks one table entry, and the
-        entries of a row are XORed.  The results are fresh arrays.
+        entries of a row are XORed into one (count, words) accumulator,
+        ``_TABLE_GROUP`` bytes at a time, so the gathered entries never
+        outgrow that many accumulators.  The results are fresh arrays.
         """
         if B.ndim != 2 or B.shape[1] != self.rows:
             raise ValueError(f"expected shape (count, {self.rows}), got {B.shape}")
         tables = self._tables
         chunks, _, words = tables.shape
+        flat = tables.reshape(-1, words)
         # Byte c of each row indexes entry c * 256 + byte of the flattened tables.
         index = np.packbits(B, axis=1, bitorder="little").T + np.arange(0, 256 * chunks, 256)[:, None]
-        picked = np.take(tables.reshape(-1, words), index, axis=0)
-        summed = np.bitwise_xor.reduce(picked, axis=0)
+        summed = np.zeros((len(B), words), dtype=np.uint64)
+        for lo in range(0, chunks, _TABLE_GROUP):
+            picked = np.take(flat, index[lo : lo + _TABLE_GROUP], axis=0)
+            summed ^= np.bitwise_xor.reduce(picked, axis=0)
         width = self.cols + len(self.consistency_matrix)
         bits = np.unpackbits(summed.view(np.uint8), axis=1, count=width, bitorder="little")
         return bits[:, : self.cols], ~bits[:, self.cols :].any(axis=1)

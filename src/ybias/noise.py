@@ -81,12 +81,17 @@ def sample_error_classes_batch(model: BiasedNoiseModel, uniforms: np.ndarray) ->
     Thresholds are cumulative [1-p, 1-p+p_X, 1-p+p_X+p_Z], so the order of
     outcomes is I, X, Z, Y.  The class of a uniform u is the number of
     thresholds at or below u, the count ``searchsorted(edges, u, side="right")``
-    gives.
+    gives.  Equal thresholds are compared once and counted with their
+    multiplicity: under pure Y all three equal 1-p, so one comparison gives
+    class 0 or 3.
     """
-    edges = np.cumsum(model.class_probs)[:3]
-    classes = (uniforms >= edges[0]).view(np.uint8)
-    classes += uniforms >= edges[1]
-    classes += uniforms >= edges[2]
+    edges, repeats = np.unique(np.cumsum(model.class_probs)[:3], return_counts=True)
+    classes = None
+    for edge, repeat in zip(edges, repeats):
+        hit = (uniforms >= edge).view(np.uint8)
+        if repeat > 1:
+            hit *= np.uint8(repeat)
+        classes = hit if classes is None else np.add(classes, hit, out=classes)
     return classes
 
 

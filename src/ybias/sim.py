@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +21,7 @@ from .decoders import MpsDecoder, UnattainableSyndromeError
 from .noise import (
     BiasedNoiseModel,
     batch_uniforms,
+    counters_per_trial,
     derive_key,
     sample_error_classes_batch,
 )
@@ -103,10 +103,16 @@ def _digest(x_bits: np.ndarray, z_bits: np.ndarray) -> str:
     return np.packbits(np.concatenate([x_bits, z_bits])).tobytes().hex()
 
 
+# Bytes of float64 uniforms per chunk of trials: small enough that a chunk's
+# blocks (uniforms, classes, syndromes, candidates) stay near the CPU cache
+# and the trial loop's memory does not grow with the trial count.
+_CHUNK_BYTES = 2 * 1024 * 1024
+
+
 def _chunk_size(n: int) -> int:
-    # Cap the uniform-sample buffer near 32 MB per chunk.
-    per_trial = 4 * (math.ceil(n / 4)) * 8
-    return max(256, (32 * 1024 * 1024) // per_trial)
+    """Trials per chunk: as many whole Philox counter blocks as fit in ``_CHUNK_BYTES``."""
+    per_trial = 4 * counters_per_trial(n) * 8
+    return max(1, _CHUNK_BYTES // per_trial)
 
 
 def _run_range(
@@ -193,6 +199,9 @@ def estimate_failure_rate(
         raise ValueError(f"decoder is for {decoder.code.id}, not {code.id}")
     workers = workers or 1
     if workers > 1 and trials >= 4 * workers:
+        # Here, not at module level: a one-worker run loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         payloads = [
             (decoder, model, seed, int(lo), int(hi - lo), keep_records)

@@ -485,6 +485,24 @@ class TestExactML:
             errors = (rng.random((150, code.n)) < 0.35).astype(np.uint8)
             _assert_batch_matches_reference(code, p, errors)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+    def test_standard_scoring_chunk_changes_nothing(self, p, monkeypatch):
+        # Scored in chunks of 1 to 7 rows, every recovery, verdict and score
+        # is bit for bit that of one chunk holding all 60 rows.
+        code = build_standard_code(6, 9)
+        decoder = ExactYDecoder(code, PURE_Y(p))
+        errors = (np.random.default_rng(9).random((60, code.n)) < 0.3).astype(np.uint8)
+        syndromes = syndrome_batch(code, errors, errors)
+        recovery, verdicts, scores = decoder._decode_rows(syndromes)
+        monkeypatch.setattr(decoders, "_SCORE_CHUNK_BYTES", 0)
+        for rows in range(1, 8):
+            monkeypatch.setattr(decoders, "_SCORE_MIN_ROWS", rows)
+            got_recovery, got_verdicts, got_scores = decoder._decode_rows(syndromes)
+            assert np.array_equal(got_recovery, recovery)
+            assert np.array_equal(got_verdicts, verdicts)
+            for got, want in zip(got_scores, scores):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "call",
         [

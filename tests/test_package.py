@@ -1,4 +1,4 @@
-"""The package's public names are pinned and resolve, and importing it loads no scipy."""
+"""The public names are pinned and resolve; importing ybias loads no scipy or process pool."""
 
 from __future__ import annotations
 
@@ -136,17 +136,57 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_is_imported_only_by_the_chain_and_the_fit():
+def _probe(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line is JSON."""
     src = Path(ybias.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_is_imported_only_by_the_chain_and_the_fit():
+    report = _probe(_SCIPY_PROBE)
     assert report["after_benchmark_paths"] == []
     assert report["chain_matches_exact"]
     assert "scipy.linalg" in report["after_chain"]
     assert "scipy.optimize" not in report["after_chain"]
     assert report["fit_p_c"] == pytest.approx(0.188, abs=1e-6)
     assert "scipy.optimize" in report["after_fit"]
+
+
+_PROCESS_PROBE = r"""
+import json, math, sys
+
+import ybias
+import ybias.cli
+from ybias.codes import build_rotated_code
+from ybias.decoders import ExactYDecoder
+from ybias.noise import BiasedNoiseModel
+from ybias.sim import estimate_failure_rate
+
+def loaded():
+    names = ("concurrent.futures.process", "multiprocessing", "socket", "subprocess")
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
+report = {"after_import": loaded()}
+model = BiasedNoiseModel(0.3, math.inf)
+code = build_rotated_code(3, 3)
+decoder = ExactYDecoder(code, model)
+one = estimate_failure_rate(code, decoder, model, 200, 5, workers=1)
+report["after_one_worker"] = loaded()
+two = estimate_failure_rate(code, decoder, model, 200, 5, workers=2)
+report["two_workers_match"] = two == one
+report["after_two_workers"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_process_pool_is_imported_only_by_a_multi_worker_run():
+    report = _probe(_PROCESS_PROBE)
+    assert report["after_import"] == []
+    assert report["after_one_worker"] == []
+    assert report["two_workers_match"]
+    assert "concurrent.futures.process" in report["after_two_workers"]

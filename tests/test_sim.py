@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybias import sim
+from ybias import decoders, sim
 from ybias.codes import build_rotated_code, build_standard_code
 from ybias.decoders import (
     BruteForceDecoder,
@@ -216,6 +217,10 @@ def _chunking_case(name):
         code = build_rotated_code(5, 5)
         model = BiasedNoiseModel(p=0.45, eta=math.inf)
         return ExactYDecoder(code, model), model
+    if name == "exact-y-standard":  # the batch path, scored against the cut table
+        code = build_standard_code(5, 5)
+        model = BiasedNoiseModel(p=0.3, eta=math.inf)
+        return ExactYDecoder(code, model), model
     # The per-trial path.  Under finite bias some X/Z components give
     # syndromes no Y configuration produces, so decoder errors count too.
     model = BiasedNoiseModel(p=0.3, eta=30.0)
@@ -224,18 +229,24 @@ def _chunking_case(name):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(["exact-y", "concatenated-y"]),
+    name=st.sampled_from(["exact-y", "exact-y-standard", "concatenated-y"]),
     cuts=st.lists(st.integers(0, 40), max_size=4),
     chunk=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_counts_do_not_depend_on_chunking(name, cuts, chunk, seed):
-    """Trials [0, 40) run in pieces split anywhere, at any chunk size, add up to one run."""
+    """Trials [0, 40) run in pieces split anywhere, at any chunk size, add up to one run.
+
+    The pieces also score the standard layout's cut table in chunks of
+    ``chunk`` rows, where the single run scores all 40 rows as one chunk.
+    """
     decoder, model = _chunking_case(name)
     failures, decoder_errors, records = sim._run_range(decoder, model, seed, 0, 40, True)
     bounds = [0, *sorted(cuts), 40]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_chunk_size", lambda n: chunk)
+        patch.setattr(decoders, "_SCORE_MIN_ROWS", chunk)
+        patch.setattr(decoders, "_SCORE_CHUNK_BYTES", 0)
         pieces = [
             sim._run_range(decoder, model, seed, lo, hi - lo, True)
             for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -243,6 +254,35 @@ def test_counts_do_not_depend_on_chunking(name, cuts, chunk, seed):
     assert sum(piece[0] for piece in pieces) == failures
     assert sum(piece[1] for piece in pieces) == decoder_errors
     assert [record for piece in pieces for record in piece[2]] == records
+
+
+@pytest.mark.parametrize(
+    "build, size, p, trials",
+    [
+        (build_rotated_code, 21, 0.45, 20_000),
+        (build_rotated_code, 9, 0.45, 200_000),
+        (build_standard_code, 13, 0.3, 4_000),
+    ],
+    ids=["rotated-21x21", "rotated-9x9", "standard-13x13"],
+)
+def test_trial_loop_working_set_does_not_grow_with_trials(build, size, p, trials):
+    """An exact-y run decodes in cache-sized chunks, so its traced peak stays within 8 MiB.
+
+    A warm-up run first builds what the decoder keeps (solver and cut
+    tables); only the allocations of the measured run are traced.
+    """
+    code = build(size, size)
+    model = BiasedNoiseModel(p=p, eta=math.inf)
+    decoder = ExactYDecoder(code, model)
+    estimate_failure_rate(code, decoder, model, 10, seed=0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_failure_rate(code, decoder, model, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 class TestConvergenceStudy:
