@@ -159,6 +159,13 @@ class TestRun:
         assert data_rows(out) == []
         assert "# trials = \n" in out
 
+    def test_missing_trials_with_sweep_exits_one(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "run", "--layout", "rotated", "-j", "3", "-k", "3",
+            "--eta", "inf", "--decoder", "exact-y", "--p", "0.2",
+        )
+        assert rc == 1 and "--trials" in err
+
     @pytest.mark.parametrize(
         "layout, j, k, decoder",
         [("rotated", "3", "3", "exact-y"), ("standard", "3", "4", "concatenated-y")],
@@ -243,6 +250,10 @@ class TestRun:
         assert rc == 0
         assert parallel == serial
 
+    def test_invalid_workers_exit_one(self, capsys):
+        rc, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")
+        assert rc == 1 and "--workers" in err
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0"])
     def test_invalid_workers_env_exits_one(self, capsys, monkeypatch, value):
         monkeypatch.setenv("YBIAS_WORKERS", value)
@@ -290,6 +301,25 @@ class TestThreshold:
         assert len(payload["rows"]) == 9
         assert payload["metadata"]["command"] == "threshold"
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (("-d", "3", "-d", "3", "-d", "5", "--p", "0.3", "--p", "0.35", "--p", "0.4"),
+             "distinct distances"),
+        ],
+        ids=["distance"],
+    )
+    def test_repeated_grid_value_counts_once_and_exits_before_decoding(
+        self, capsys, decoded, grid, message
+    ):
+        rc, out, err = run_cli(
+            capsys, "threshold", "--layout", "rotated", "--eta", "inf", "--decoder", "exact-y",
+            *grid, "--trials", "200", "--seed", "1",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert not decoded
+
     @pytest.mark.parametrize("flags", [("-j", "99"), ("-k", "2")], ids=["j", "k"])
     def test_code_size_flags_are_not_options(self, capsys, decoded, flags):
         # Threshold codes are d x d for each -d, so it reads no -j or -k.
@@ -314,6 +344,31 @@ class TestConvergence:
         assert [row["chi"] for row in rows] == ["2", "4"]
         assert rows[1]["shifted"] == "0.0" and rows[1]["converged"] == "1"
         assert "# reference_chi = 4" in out
+
+    def test_standard_layout_rejected(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "convergence", "--layout", "standard", "-j", "3", "-k", "3",
+            "--eta", "0.5", "--p", "0.15", "--chis", "2", "--chis", "4", "--trials", "10",
+        )
+        assert rc == 1 and "rotated" in err
+
+    def test_chi_below_one_exits_one_before_decoding(self, capsys, decoded):
+        rc, out, err = run_cli(
+            capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+            "--chis", "2", "--chis", "0", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "--chis" in err
+        assert not decoded
+
+    def test_repeated_chi_counts_once_and_exits_before_decoding(self, capsys, decoded):
+        rc, out, err = run_cli(
+            capsys, "convergence", "-j", "3", "-k", "3", "--eta", "0.5", "--p", "0.15",
+            "--chis", "4", "--chis", "4", "--trials", "10",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "distinct chi" in err
+        assert not decoded
 
     @pytest.mark.parametrize(
         "flags", [("--decoder", "exact-y"), ("--chi", "999")], ids=["decoder", "chi"]
@@ -494,6 +549,13 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "does-not-exist")
+        assert rc == 1 and err.startswith("error:")
+
+    def test_unknown_decoder_exits_one(self, capsys):
+        rc, _, err = run_cli(
+            capsys, "run", "--layout", "rotated", "-j", "3", "-k", "3",
+            "--eta", "inf", "--decoder", "magic", "--p", "0.1", "--trials", "5",
+        )
         assert rc == 1 and err.startswith("error:")
 
     def test_missing_config_file_exits_one(self, capsys):
