@@ -20,6 +20,11 @@ check and one column per qubit: ``x_checks``, ``z_checks`` and their stack
 ``y_checks`` (X rows first), which is the parity map seen by Y-type errors.
 Syndromes are computed sparsely: ``support_index`` lists each check's few
 qubits, and :func:`syndrome_batch` gathers and XORs those bits.
+
+Pure-Y structure of the standard layout: the g+1 extended diagonals
+(g = gcd(j,k)) are Y-configurations propagated down from fixed top-row
+patterns; ``ycode`` reads the repetition blocks off them.  The Y logical
+is extended diagonal 1, which is the corner-to-corner billiard path.
 """
 
 from __future__ import annotations
@@ -361,71 +366,6 @@ def _validate_dims(j: int, k: int, layout: str) -> None:
         raise ValueError(f"unknown layout {layout!r}")
 
 
-# -- billiard paths on the doubled lattice ---------------------------------
-
-
-def _step(j: int, k: int, pos: tuple[int, int], direction: tuple[int, int]):
-    """One diagonal step with wall reflection on [0, 2j] x [0, 2k]."""
-    r, c = pos
-    dr, dc = direction
-    if not 0 <= r + dr <= 2 * j:
-        dr = -dr
-    if not 0 <= c + dc <= 2 * k:
-        dc = -dc
-    return (r + dr, c + dc), (dr, dc)
-
-
-def _is_corner(j: int, k: int, pos: tuple[int, int]) -> bool:
-    return pos[0] in (0, 2 * j) and pos[1] in (0, 2 * k)
-
-
-def _collect_support(code: StabilizerCode, visits: list[tuple[int, int]]) -> np.ndarray:
-    """Convert a list of visited doubled-lattice points to a mod-2 qubit support."""
-    coord_index = {coord: q for q, coord in enumerate(code.qubit_coords)}
-    support = np.zeros(code.n, dtype=np.uint8)
-    for pos in visits:
-        q = coord_index.get(pos)
-        if q is not None:
-            support[q] ^= 1
-    return support
-
-
-def corner_path_support(code: StabilizerCode) -> np.ndarray:
-    """Qubit support of the diagonal billiard path from the top-left corner.
-
-    The path starts at doubled coordinate (0,0), bounces off the lattice
-    walls, and ends at the first corner it reaches; its mod-2 visit pattern
-    is a minimum-weight Y-type logical operator.
-    """
-    j, k = code.j, code.k
-    pos, direction = (0, 0), (1, 1)
-    visits = []
-    expected = (2 * j * 2 * k) // math.gcd(2 * j, 2 * k)
-    for _ in range(expected):
-        pos, direction = _step(j, k, pos, direction)
-        visits.append(pos)
-    if not _is_corner(j, k, pos):
-        raise AssertionError(f"corner path on {code.id} did not close after {expected} steps")
-    return _collect_support(code, visits)
-
-
-def construct_y_logical(code: StabilizerCode) -> PauliOperator:
-    """A minimum-weight Y-type logical operator.
-
-    Standard layout: the corner-to-corner billiard path.  Rotated layout:
-    Y on every qubit.
-    """
-    if code.layout == "rotated":
-        return PauliOperator.y_type(np.ones(code.n, dtype=np.uint8))
-    support = corner_path_support(code)
-    op = PauliOperator.y_type(support)
-    if op.weight != y_distance(code.j, code.k, code.layout):
-        raise AssertionError(f"{code.id}: corner path weight {op.weight} != y-distance")
-    if syndrome(code, op).any():
-        raise AssertionError(f"{code.id}: corner path operator has nonzero syndrome")
-    return op
-
-
 # -- zero-filled top-row propagation ---------------------------------------
 
 
@@ -462,3 +402,46 @@ def assemble_y_config(code: StabilizerCode, yH: np.ndarray, yV: np.ndarray) -> n
     for (i, c), q in code._v_index.items():
         y[q] = yV[i, c]
     return y
+
+
+# -- extended diagonals ----------------------------------------------------
+
+
+def _diagonal_pattern(g: int, m: int) -> set[int]:
+    """Within-tile column offsets (1-based) of the top-row trace of diagonal m."""
+    if m == 1:
+        return {1}
+    if m == g + 1:
+        return {g}
+    return {m - 1, m}
+
+
+def extended_diagonal(code: StabilizerCode, i: int) -> PauliOperator:
+    """Extended diagonal i (1..g+1): alternating tile patterns propagated down."""
+    j, k, g = code.j, code.k, code.g
+    top = np.zeros(k + 1, dtype=np.uint8)
+    for c in range(1, k + 1):
+        tile, offset = divmod(c - 1, g)
+        m = i if tile % 2 == 0 else g + 2 - i
+        if offset + 1 in _diagonal_pattern(g, m):
+            top[c] = 1
+    yH, yV = propagate_y_from_top(j, k, top[1:])
+    op = PauliOperator.y_type(assemble_y_config(code, yH, yV))
+    if syndrome(code, op).any():
+        raise AssertionError(f"extended diagonal {i} on {code.id} has nonzero syndrome")
+    return op
+
+
+def construct_y_logical(code: StabilizerCode) -> PauliOperator:
+    """A minimum-weight Y-type logical operator.
+
+    Standard layout: extended diagonal 1, which is the billiard path from
+    the top-left corner to the first corner it reaches.  Rotated layout:
+    Y on every qubit.
+    """
+    if code.layout == "rotated":
+        return PauliOperator.y_type(np.ones(code.n, dtype=np.uint8))
+    op = extended_diagonal(code, 1)
+    if op.weight != y_distance(code.j, code.k, code.layout):
+        raise AssertionError(f"{code.id}: diagonal 1 weight {op.weight} != y-distance")
+    return op

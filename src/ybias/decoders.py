@@ -92,18 +92,6 @@ def logical_class_representatives(code: StabilizerCode) -> dict[str, PauliOperat
 # -- classical decoders ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _triangle_edge_indices(m: int) -> np.ndarray:
-    code = cycle_code(m)
-    return np.array(
-        [
-            [code.edge_index(a, b), code.edge_index(b, c), code.edge_index(a, c)]
-            for (a, b, c) in code.triangles
-        ],
-        dtype=np.intp,
-    ).reshape(-1, 3)
-
-
 def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
     """Vote-decode the cycle code on K_m for many errors; rows are edge bit-vectors.
 
@@ -114,7 +102,7 @@ def cycle_decode_batch(m: int, errors: np.ndarray) -> np.ndarray:
     most m-2 < 2^24), so the arithmetic stays exact.
     """
     code = cycle_code(m)
-    te = _triangle_edge_indices(m)
+    te = code.triangle_edges
     dense = code.checks.astype(np.float32)
     out = np.empty_like(errors)
     chunk = max(256, (64 * 1024 * 1024) // (4 * max(1, len(code.triangles))))
@@ -368,8 +356,6 @@ class ConcatenatedYDecoder:
             raise ValueError("concatenated-y requires the standard layout")
         self.code = code
         self._table = _cut_table(code)
-        # Row i holds the i-th edge of each triangle of K_{g+1}, as edge indices.
-        self._triangle_edges = np.ascontiguousarray(_triangle_edge_indices(code.g + 1).T)
         # The fixed operand of the per-decode product, kept in float32.
         self._y_checks = _read_only(code.y_checks, np.float32)
         self.params: dict = {}
@@ -383,7 +369,8 @@ class ConcatenatedYDecoder:
 
         ref = cand[table.member_qubit[table.block_starts]]
         member_bits = cand[table.member_qubit] ^ ref[table.member_edge]
-        tri = np.bitwise_xor.reduce(ref[self._triangle_edges], axis=0)
+        te = table.cycle.triangle_edges
+        tri = ref[te[:, 0]] ^ ref[te[:, 1]] ^ ref[te[:, 2]]
         base = solve(table.cycle.checks, tri)
         # Flipping the blocks of cut x changes the weight of (base ^ x) by
         # x_e (1 - 2 base_e) gain_e on each edge: the cost of base ^ x up to

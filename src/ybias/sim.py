@@ -143,6 +143,7 @@ def _run_range(
         if batch is not None:
             recovery_x, recovery_z, verdicts = batch(syndrome_batch(code, x_rows, z_rows))
             success = is_stabilizer_batch(code, recovery_x ^ x_rows, recovery_z ^ z_rows)
+            del recovery_x, recovery_z
             decoded = range(hi - lo)
         else:
             decoded, verdicts, success = [], [], []
@@ -172,6 +173,8 @@ def _run_range(
                 )
                 for i, verdict, ok in zip(decoded, verdicts, success)
             )
+        # Free this chunk's arrays before the next chunk's uniforms are drawn.
+        del classes, x_rows, z_rows, verdicts, success
     return failures, decoder_errors, records
 
 

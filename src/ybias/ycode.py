@@ -3,7 +3,7 @@
 The qubit-bit code checked by all vertex/plaquette generators factors as a
 cycle code on the complete graph K_{g+1} (g = gcd(j,k)) concatenated with
 repetition blocks, plus boundary qubits pinned by weight-1 checks.  The
-factorization is extracted here from g+1 "extended diagonal" operators:
+factorization is read here off the g+1 extended diagonals of ``codes``:
 qubit q belongs to the block of edge (i1,i2) iff exactly diagonals i1 and
 i2 cross q, and is a pinned boundary qubit iff no diagonal crosses it.
 """
@@ -17,13 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import (
-    StabilizerCode,
-    assemble_y_config,
-    build_standard_code,
-    propagate_y_from_top,
-    syndrome,
-)
+from .codes import StabilizerCode, build_standard_code, extended_diagonal
 from .pauli import PauliOperator
 
 __all__ = ["YCodeStructure", "y_code_structure", "CycleCode", "cycle_code"]
@@ -39,6 +33,9 @@ class CycleCode:
     # Read-only triangle x edge incidence; fixed by the triangles, and left
     # out of == and hash because an array supports neither.
     checks: np.ndarray = field(compare=False)
+    # Read-only (T, 3) edge indices of each triangle abc (edges ab, bc, ac),
+    # the same incidence as ``checks`` in index form.
+    triangle_edges: np.ndarray = field(compare=False)
 
     @property
     def num_bits(self) -> int:
@@ -70,11 +67,13 @@ def cycle_code(m: int) -> CycleCode:
     edge_index = {e: idx for idx, e in enumerate(edges)}
     triangles = tuple(combinations(range(1, m + 1), 3))
     rows = np.zeros((len(triangles), len(edges)), dtype=np.uint8)
+    triangle_edges = np.empty((len(triangles), 3), dtype=np.intp)
     for t, (a, b, c) in enumerate(triangles):
-        for e in ((a, b), (b, c), (a, c)):
-            rows[t, edge_index[e]] = 1
+        triangle_edges[t] = edge_index[(a, b)], edge_index[(b, c)], edge_index[(a, c)]
+        rows[t, triangle_edges[t]] = 1
     rows.setflags(write=False)
-    return CycleCode(m, edges, triangles, rows)
+    triangle_edges.setflags(write=False)
+    return CycleCode(m, edges, triangles, rows, triangle_edges)
 
 
 @dataclass(frozen=True)
@@ -98,31 +97,6 @@ class YCodeStructure:
     @property
     def total_block_membership(self) -> int:
         return sum(length for length, _ in self.repetition_blocks)
-
-
-def _diagonal_pattern(g: int, m: int) -> set[int]:
-    """Within-tile column offsets (1-based) of the top-row trace of diagonal m."""
-    if m == 1:
-        return {1}
-    if m == g + 1:
-        return {g}
-    return {m - 1, m}
-
-
-def extended_diagonal(code: StabilizerCode, i: int) -> PauliOperator:
-    """Extended diagonal i (1..g+1): alternating tile patterns propagated down."""
-    j, k, g = code.j, code.k, code.g
-    top = np.zeros(k + 1, dtype=np.uint8)
-    for c in range(1, k + 1):
-        tile, offset = divmod(c - 1, g)
-        m = i if tile % 2 == 0 else g + 2 - i
-        if offset + 1 in _diagonal_pattern(g, m):
-            top[c] = 1
-    yH, yV = propagate_y_from_top(j, k, top[1:])
-    op = PauliOperator.y_type(assemble_y_config(code, yH, yV))
-    if syndrome(code, op).any():
-        raise AssertionError(f"extended diagonal {i} on {code.id} has nonzero syndrome")
-    return op
 
 
 def y_code_structure(j: int, k: int, code: StabilizerCode | None = None) -> YCodeStructure:

@@ -6,7 +6,10 @@ routine — none of it reuses the decoders' scoring internals.  The second
 implementations the package does not run itself live here too: the
 dict-based cycle decoder, the nullspace and row-space routines, one-trial
 sampling, the one-coset MPS probability, Pauli strings and predicates, and
-the billiard-orbit Y-stabilizer group of a standard code.
+the billiard walker on the doubled lattice.  The package reads a standard
+code's Y logical and pure-Y blocks off its extended diagonals; the walker,
+a test-only oracle, builds the logical again as the corner-to-corner path
+and the Y-type stabilizers as closed orbits through the top row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ybias import tensor
-from ybias.codes import StabilizerCode, _collect_support, _step, syndrome
+from ybias.codes import StabilizerCode, syndrome
 from ybias.gf2 import _as_bit_array, _as_bit_matrix, matmul_mod2, rank, rref, solve
 from ybias.noise import BiasedNoiseModel, counters_per_trial, sample_error_classes_batch
 from ybias.pauli import PauliOperator
@@ -260,7 +263,48 @@ def is_y_type(op: PauliOperator) -> bool:
     return bool(np.array_equal(op.x_bits, op.z_bits))
 
 
-# -- billiard orbits: the Y-type stabilizers of a standard code -------------
+# -- billiard paths on the doubled lattice: Y logical and Y stabilizers -----
+
+
+def _step(j: int, k: int, pos: tuple[int, int], direction: tuple[int, int]):
+    """One diagonal step with wall reflection on [0, 2j] x [0, 2k]."""
+    r, c = pos
+    dr, dc = direction
+    if not 0 <= r + dr <= 2 * j:
+        dr = -dr
+    if not 0 <= c + dc <= 2 * k:
+        dc = -dc
+    return (r + dr, c + dc), (dr, dc)
+
+
+def _collect_support(code: StabilizerCode, visits: list[tuple[int, int]]) -> np.ndarray:
+    """Convert a list of visited doubled-lattice points to a mod-2 qubit support."""
+    coord_index = {coord: q for q, coord in enumerate(code.qubit_coords)}
+    support = np.zeros(code.n, dtype=np.uint8)
+    for pos in visits:
+        q = coord_index.get(pos)
+        if q is not None:
+            support[q] ^= 1
+    return support
+
+
+def corner_path_support(code: StabilizerCode) -> np.ndarray:
+    """Qubit support of the diagonal billiard path from the top-left corner.
+
+    The path starts at doubled coordinate (0,0), bounces off the lattice
+    walls, and ends at the first corner it reaches; its mod-2 visit pattern
+    is a minimum-weight Y-type logical operator.
+    """
+    j, k = code.j, code.k
+    pos, direction = (0, 0), (1, 1)
+    visits = []
+    expected = (2 * j * 2 * k) // math.gcd(2 * j, 2 * k)
+    for _ in range(expected):
+        pos, direction = _step(j, k, pos, direction)
+        visits.append(pos)
+    if pos[0] not in (0, 2 * j) or pos[1] not in (0, 2 * k):
+        raise AssertionError(f"corner path on {code.id} did not close after {expected} steps")
+    return _collect_support(code, visits)
 
 
 def cyclic_path_support(code: StabilizerCode, start: tuple[int, int]) -> np.ndarray:

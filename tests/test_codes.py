@@ -9,6 +9,7 @@ from ybias.codes import (
     build_rotated_code,
     build_standard_code,
     construct_y_logical,
+    extended_diagonal,
     propagate_y_from_top,
     syndrome,
     syndrome_batch,
@@ -221,6 +222,26 @@ class TestYLogicalConstruction:
             for k in (3, 5, 7):
                 code = build_rotated_code(j, k)
                 assert construct_y_logical(code).weight == j * k
+
+
+# Coprime, square and mixed standard shapes.
+BILLIARD_SHAPES = [(2, 3), (3, 4), (3, 7), (4, 4), (9, 9), (4, 6), (6, 4), (6, 9), (12, 8), (10, 15)]
+
+
+class TestDiagonalsAreBilliardPaths:
+    """The extended diagonals against the billiard walker, a second construction."""
+
+    @pytest.mark.parametrize("j,k", BILLIARD_SHAPES)
+    def test_logical_is_the_corner_path(self, j, k):
+        code = build_standard_code(j, k)
+        assert code.logical_y == PauliOperator.y_type(support.corner_path_support(code))
+
+    @pytest.mark.parametrize("j,k", [(j, k) for j, k in BILLIARD_SHAPES if math.gcd(j, k) > 1])
+    def test_inner_diagonals_are_the_top_row_orbits(self, j, k):
+        code = build_standard_code(j, k)
+        for i in range(2, code.g + 1):
+            orbit = support.cyclic_path_support(code, (1, 2 * i - 1))
+            assert extended_diagonal(code, i) == PauliOperator.y_type(orbit), i
 
 
 class TestYStabilizerGroup:

@@ -70,10 +70,19 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "ybias"])
-def test_every_imported_name_is_used(name):
-    # ``ybias/__init__.py`` imports to re-export, so it is left out.
-    path = Path(importlib.import_module(name).__file__)
+# Every source module but ``ybias/__init__.py``, which imports to re-export,
+# and every file of the test suite, ``support.py`` and ``conftest.py`` included.
+IMPORTING_FILES = [
+    pytest.param(Path(importlib.import_module(name).__file__), id=name)
+    for name in MODULES
+    if name != "ybias"
+] + [
+    pytest.param(path, id=f"tests.{path.stem}") for path in sorted(Path(__file__).parent.glob("*.py"))
+]
+
+
+@pytest.mark.parametrize("path", IMPORTING_FILES)
+def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):

@@ -27,7 +27,6 @@ from ybias.sim import (
     CSV_COLUMNS,
     FailurePoint,
     FailureRateResult,
-    ThresholdFit,
     _floored_stderr,
     convergence_study,
     csv_text,
@@ -257,19 +256,24 @@ def test_counts_do_not_depend_on_chunking(name, cuts, chunk, seed):
 
 
 @pytest.mark.parametrize(
-    "build, size, p, trials",
+    "build, size, p, trials, limit_mib",
     [
-        (build_rotated_code, 21, 0.45, 20_000),
-        (build_rotated_code, 9, 0.45, 200_000),
-        (build_standard_code, 13, 0.3, 4_000),
+        (build_rotated_code, 21, 0.45, 20_000, 8),
+        (build_rotated_code, 9, 0.45, 200_000, 8),
+        (build_standard_code, 13, 0.3, 4_000, 8),
+        (build_rotated_code, 21, 0.45, 2_000, 4.25),
     ],
-    ids=["rotated-21x21", "rotated-9x9", "standard-13x13"],
+    ids=["rotated-21x21", "rotated-9x9", "standard-13x13", "rotated-21x21-chunk-freed"],
 )
-def test_trial_loop_working_set_does_not_grow_with_trials(build, size, p, trials):
+def test_trial_loop_working_set_does_not_grow_with_trials(build, size, p, trials, limit_mib):
     """An exact-y run decodes in cache-sized chunks, so its traced peak stays within 8 MiB.
 
     A warm-up run first builds what the decoder keeps (solver and cut
-    tables); only the allocations of the measured run are traced.
+    tables); only the allocations of the measured run are traced.  Each
+    chunk's arrays are freed before the next chunk is sampled, so at
+    rotated 21x21 the peak is one chunk's 2 MiB of uniforms plus what
+    decoding adds: 3.8 MiB measured, and 4.7 MiB if the previous chunk's
+    arrays stay bound.
     """
     code = build(size, size)
     model = BiasedNoiseModel(p=p, eta=math.inf)
@@ -282,7 +286,7 @@ def test_trial_loop_working_set_does_not_grow_with_trials(build, size, p, trials
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= limit_mib * 2**20
 
 
 class TestConvergenceStudy:

@@ -56,6 +56,16 @@ class TestCycleCode:
         kernel = {row.tobytes() for row in (subsets @ stack) & 1}
         assert kernel == cuts
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_triangle_edges_index_the_incidence_rows(self, m):
+        code = cycle_code(m)
+        assert code.triangle_edges.shape == (code.num_checks, 3)
+        assert not code.triangle_edges.flags.writeable
+        for t, (a, b, c) in enumerate(code.triangles):
+            edges = [code.edge_index(a, b), code.edge_index(b, c), code.edge_index(a, c)]
+            assert code.triangle_edges[t].tolist() == edges
+            assert np.flatnonzero(code.checks[t]).tolist() == sorted(edges)
+
     def test_edge_index_order_insensitive(self):
         code = cycle_code(4)
         assert code.edge_index(1, 3) == code.edge_index(3, 1)
